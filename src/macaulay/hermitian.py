@@ -60,30 +60,9 @@ class GaussianRational:
     def norm_sq(self):
         return self.re * self.re + self.im * self.im
 
-    def demote(self) -> "GaussianRational":
-        """Collapse integral Fraction parts to plain int."""
-        re, im = self.re, self.im
-        if isinstance(re, Fraction) and re.denominator == 1:
-            re = re.numerator
-        if isinstance(im, Fraction) and im.denominator == 1:
-            im = im.numerator
-        if re is self.re and im is self.im:
-            return self
-        return GaussianRational(re, im)
-
     @property
     def is_real(self) -> bool:
         return self.im == 0
-
-    @property
-    def denominator(self) -> int:
-        return math.lcm(
-            getattr(self.re, "denominator", 1), getattr(self.im, "denominator", 1)
-        )
-
-    @property
-    def integer_content(self) -> int:
-        return math.gcd(abs(self.re.numerator), abs(self.im.numerator))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -322,7 +301,7 @@ def biform_from_squares(
 
 
 def biform_rank(form: HermitianBiform) -> int:
-    """Exact rank of the coefficient matrix, by fraction-free elimination."""
+    """Exact rank of the coefficient matrix, by ``exact_rank`` over Q(i)."""
     rows = []
     for row in form.matrix:
         rows.append({j: v for j, v in enumerate(row) if v})

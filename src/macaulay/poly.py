@@ -3,17 +3,20 @@
 A monomial is an exponent tuple, a polynomial is a dict from exponent
 tuples to nonzero exact coefficients, and the degree-d piece of an ideal
 is the row space of the matrix of all monomial multiples of its
-generators.  Dimensions come out of fraction-free (Bareiss) elimination,
-so every Hilbert function value is exact; an optional modular mode gives
-a fast probabilistic rank for cross-checking.
+generators.  Dimensions come out of exact integer elimination on
+primitive rows (Gaussian rows through their real embedding), so every
+Hilbert function value is exact; an optional modular mode computes the
+same ranks over large primes as a cross-check.
 
-Coefficients are ``fractions.Fraction`` throughout, but nothing here
-inspects the scalar type beyond field arithmetic, so Gaussian-rational
+Coefficients are ``fractions.Fraction`` throughout.  Polynomial
+arithmetic uses field operations only, and the rank routines read a
+non-real scalar through its ``re``/``im`` parts, so Gaussian-rational
 coefficients (see :mod:`macaulay.hermitian`) work unchanged.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -221,146 +224,159 @@ class BoundChecks(NamedTuple):
 # Exact rank machinery
 # ---------------------------------------------------------------------------
 
-def _scale_row_integral(row: dict[int, object]) -> dict[int, object]:
-    """Scale a sparse row by the lcm of denominators and divide out the
-    integer content.  Both operations preserve the row space."""
-    denom = 1
-    for v in row.values():
-        denom = math.lcm(denom, getattr(v, "denominator", 1))
-    scaled = {c: v * denom for c, v in row.items()}
-    content = 0
-    for v in scaled.values():
-        content = math.gcd(content, _integer_content(v))
-    if content > 1:
-        scaled = {c: _divide_by_int(v, content) for c, v in scaled.items()}
-    return scaled
+def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, int]], bool]:
+    """Primitive integer rows spanning the same space, and whether they are
+    the real embedding of Gaussian rows.
 
-
-def _integer_content(v) -> int:
-    got = getattr(v, "integer_content", None)
-    if got is not None:
-        return got
-    return abs(v.numerator)
-
-
-def _divide_by_int(v, k: int):
-    if isinstance(v, int):
-        return v // k
-    return v * Fraction(1, k)
-
-
-def _as_plain_int(v):
-    """Collapse integral Fractions (and Fraction parts) to int."""
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return v.numerator
-        raise AssertionError("row not integral after scaling")
-    if isinstance(v, int):
-        return v
-    demote = getattr(v, "demote", None)
-    return demote() if demote else v
-
-
-def exact_rank(rows: Iterable[dict[int, object]]) -> int:
-    """Rank of a sparse matrix by fraction-free Bareiss elimination.
-
-    Rows are ``{column: value}`` dicts; values may be int, Fraction, or any
-    exact field scalar exposing ``denominator``/``integer_content`` (the
-    Gaussian rationals do).  Rows are first scaled to integral entries and
-    deduplicated; the Bareiss update
-
-        a'[j][c] = (a[j][c] * pivot - a[j][pc] * prow[c]) / previous_pivot
-
-    keeps every intermediate entry a minor of the scaled matrix, so the
-    division is always exact and entry growth stays polynomial.
+    Each row is scaled by the lcm of its denominators and divided by the
+    gcd of the results; zero and duplicate rows are dropped.  If any entry
+    has a nonzero imaginary part, every row ``a + ib`` becomes the two rows
+    ``[a, -b]`` and ``[b, a]`` of the real embedding (column c of the two
+    blocks is interleaved as 2c and 2c + 1), whose rank is twice the rank
+    over Q(i).
     """
-    active: list[dict[int, object]] = []
-    seen: set = set()
+    scaled = []
+    gaussian = False
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        if not row:
+        re: dict[int, object] = {}
+        im: dict[int, object] = {}
+        for c, v in row.items():
+            if not isinstance(v, (int, Fraction)):
+                if v.im:
+                    im[c] = v.im
+                v = v.re
+            if v:
+                re[c] = v
+        if not (re or im):
             continue
-        row = {c: _as_plain_int(v) for c, v in _scale_row_integral(row).items()}
-        key = tuple(sorted(row.items(), key=lambda kv: kv[0]))
-        if key in seen:
-            continue
-        seen.add(key)
-        active.append(row)
+        den = math.lcm(*[v.denominator for v in re.values()], *[v.denominator for v in im.values()])
+        re = {c: v.numerator * (den // v.denominator) for c, v in re.items()}
+        im = {c: v.numerator * (den // v.denominator) for c, v in im.items()}
+        content = math.gcd(*re.values(), *im.values())
+        if content != 1:
+            re = {c: v // content for c, v in re.items()}
+            im = {c: v // content for c, v in im.items()}
+        scaled.append((re, im))
+        gaussian = gaussian or bool(im)
 
+    out: list[dict[int, int]] = []
+    seen: set = set()
+    for re, im in scaled:
+        if gaussian:
+            embedded = ({**{2 * c: v for c, v in re.items()}, **{2 * c + 1: -v for c, v in im.items()}},
+                        {**{2 * c: v for c, v in im.items()}, **{2 * c + 1: v for c, v in re.items()}})
+        else:
+            embedded = (re,)
+        for row in embedded:
+            key = frozenset(row.items())
+            if key not in seen:
+                seen.add(key)
+                out.append(row)
+    return out, gaussian
+
+
+def _echelon_rank(rows: list[dict[int, int]]) -> int:
+    """Rank of nonzero integer rows; the rows are consumed.
+
+    Rows are bucketed by leading column.  Each step takes the smallest
+    leading column as the pivot column and the shortest row leading there
+    as the pivot row; since no row has an earlier entry, the other rows of
+    that bucket are exactly the rows that hold the pivot column.  Each one
+    becomes ``(p/g)*row - (f/g)*prow`` with ``g = gcd(p, f)``, divided by
+    its content, and moves to the bucket of its new leading column.  Every
+    other row is left as it is.
+    """
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        buckets.setdefault(min(row), []).append(row)
+    leads = list(buckets)
+    heapq.heapify(leads)
     rank = 0
-    prev = 1
-    while active:
-        pcol = min(min(r) for r in active)
-        pidx = next(i for i, r in enumerate(active) if pcol in r)
-        prow = active.pop(pidx)
-        pivot = prow[pcol]
+    while leads:
+        pcol = heapq.heappop(leads)
+        bucket = buckets.pop(pcol)
         rank += 1
-        updated = []
-        for row in active:
-            factor = row.get(pcol)
-            new_row: dict[int, object] = {}
-            if factor is None or not factor:
-                for c, v in row.items():
-                    if c == pcol:
-                        continue
-                    new_row[c] = _bareiss_div(v * pivot, prev)
+        if len(bucket) == 1:
+            continue
+        prow = min(bucket, key=len)
+        p = prow.pop(pcol)
+        tail = list(prow.items())
+        for row in bucket:
+            if row is prow:
+                continue
+            f = row.pop(pcol)
+            g = math.gcd(p, f)
+            a, b = p // g, f // g
+            new = {c: a * v for c, v in row.items()} if a != 1 else row
+            for c, v in tail:
+                x = new.get(c, 0) - b * v
+                if x:
+                    new[c] = x
+                else:
+                    del new[c]
+            if not new:
+                continue
+            content = math.gcd(*new.values())
+            if content != 1:
+                new = {c: v // content for c, v in new.items()}
+            lead = min(new)
+            target = buckets.get(lead)
+            if target is None:
+                buckets[lead] = [new]
+                heapq.heappush(leads, lead)
             else:
-                for c in row.keys() | prow.keys():
-                    if c == pcol:
-                        continue
-                    v = row.get(c, 0) * pivot - factor * prow.get(c, 0)
-                    if v:
-                        new_row[c] = _bareiss_div(v, prev)
-            if new_row:
-                updated.append(new_row)
-        active = updated
-        prev = pivot
+                target.append(new)
     return rank
 
 
-def _bareiss_div(v, prev):
-    if isinstance(v, int) and isinstance(prev, int):
-        q, r = divmod(v, prev)
-        if r:
-            raise AssertionError("inexact Bareiss division: non-integral input matrix?")
-        return q
-    out = v / prev
-    demote = getattr(out, "demote", None)
-    return demote() if demote else out
+def exact_rank(rows: Iterable[dict[int, object]]) -> int:
+    """Exact rank of a sparse matrix over Q, or over Q(i) for Gaussian entries.
 
+    Rows are ``{column: value}`` dicts whose values are int, Fraction or
+    Gaussian rationals (anything else with rational ``re``/``im`` parts).
+    They are made primitive integer vectors, through the real embedding
+    when any entry is not real, and eliminated with integer arithmetic
+    only: a step changes just the rows that hold the pivot column, each to
+    ``(p/g)*row - (f/g)*prow`` divided by its content.
 
-def _mod_inverse(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
+    Entries stay bounded as in fraction-free (Bareiss) elimination.  After
+    pivot rows r_1..r_k, a working row is the one vector, up to scale, in
+    the span of its original row and r_1..r_k that vanishes on the k pivot
+    columns (the pivot rows restricted to those columns form an invertible
+    triangular system).  Bareiss with the same pivots holds a vector of that
+    span with the same zeros, whose entries are (k+1)-minors of the input.
+    So each working row is the primitive part of the Bareiss row, and its
+    entries are bounded by those minors, hence by the Hadamard bound.
+
+    The real embedding has even rank; an odd one raises ArithmeticError
+    rather than being halved.
+    """
+    int_rows, gaussian = _integer_rows(rows)
+    rank = _echelon_rank(int_rows)
+    if not gaussian:
+        return rank
+    if rank % 2:
+        raise ArithmeticError(f"real embedding has odd rank {rank}")
+    return rank // 2
 
 
 def rank_mod_prime(rows: Iterable[dict[int, object]], p: int) -> int:
-    """Rank over GF(p) by sparse Gaussian elimination.
+    """Rank over GF(p) of the primitive integer rows of ``exact_rank``.
 
-    A modular rank never exceeds the rational rank and equals it unless p
-    divides the wrong minors, so agreement across a few large random
-    primes is strong probabilistic evidence for the exact value.
+    A modular rank never exceeds the rational rank, and equals it unless p
+    divides the wrong minors.  For Gaussian rows the result is
+    ceil(rank_p(embedding) / 2), which is still a lower bound.
     """
-    reduced: list[dict[int, int]] = []
-    for row in rows:
-        r: dict[int, int] = {}
-        for c, v in row.items():
-            num = v.numerator
-            den = getattr(v, "denominator", 1)
-            if den % p == 0:
-                raise ValueError(f"prime {p} divides a denominator")
-            x = (num % p) * _mod_inverse(den % p, p) % p
-            if x:
-                r[c] = x
-        if r:
-            reduced.append(r)
+    int_rows, gaussian = _integer_rows(rows)
     rank = 0
     pivots: dict[int, dict[int, int]] = {}
-    for row in reduced:
+    for row in int_rows:
+        row = {c: v % p for c, v in row.items() if v % p}
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                inv = _mod_inverse(row[lead], p)
+                inv = pow(row[lead], -1, p)
                 pivots[lead] = {c: (v * inv) % p for c, v in row.items()}
                 rank += 1
                 break
@@ -371,7 +387,7 @@ def rank_mod_prime(rows: Iterable[dict[int, object]], p: int) -> int:
                     row[c] = nv
                 else:
                     row.pop(c, None)
-    return rank
+    return (rank + 1) // 2 if gaussian else rank
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -443,11 +459,12 @@ def graded_piece_dim(ideal: GradedIdeal, d: int, mode: str = "exact", seed: int 
     so its dimension is the rank of that product matrix; no syzygy or basis
     computation is needed for a single graded piece.
 
-    mode="exact" (default) uses fraction-free Bareiss elimination.
-    mode="modular-checked" is the fast probabilistic alternative: ranks
-    over three seeded random primes >= 2**31 that must agree with each
-    other; the result is certainly a lower bound and is overwhelmingly
-    likely exact.  Tests cross-check the two modes.
+    mode="exact" (default) uses ``exact_rank``.
+    mode="modular-checked" is a cross-check by a different elimination:
+    ranks over three seeded random primes >= 2**31 that must agree with
+    each other; the result is certainly a lower bound and is overwhelmingly
+    likely exact.  It is not faster than the exact mode.  Tests compare
+    the two modes.
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")

@@ -38,7 +38,7 @@ from macaulay.oracle import (
     random_invertible_matrix,
     sos_witness,
 )
-from macaulay.poly import HomogPoly, monomial_poly, variable
+from macaulay.poly import GradedIdeal, HomogPoly, graded_piece_dim, monomial_poly, variable
 
 i = GaussianRational(0, 1)
 
@@ -367,6 +367,20 @@ def test_verify_ideal_containment_mixed_signs():
         c * monomial_poly((0, 3)),
     ]
     assert verify_ideal_containment(m_plus, m_minus, h, 1)
+
+
+def test_modular_mode_agrees_with_exact_on_gaussian_ideals():
+    # the ideals that verify_ideal_containment compares in the mixed-signs case
+    c = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+    sq1, sq2, cross = monomial_poly((2, 0)), monomial_poly((0, 2)), monomial_poly((1, 1))
+    m_plus = [sq1, c * sq1, sq2, c * sq2]
+    h = [monomial_poly((3, 0)), c * monomial_poly((3, 0)), c * monomial_poly((2, 1)),
+         c * monomial_poly((1, 2)), monomial_poly((0, 3)), c * monomial_poly((0, 3))]
+    for gens in (m_plus, [cross], m_plus + [cross], m_plus + h):
+        ideal = GradedIdeal(2, tuple(gens))
+        for d in range(1, 5):
+            exact = graded_piece_dim(ideal, d)
+            assert graded_piece_dim(ideal, d, mode="modular-checked", seed=3) == exact
 
 
 def test_verify_ideal_containment_rejects_bad_witness():

@@ -1,0 +1,159 @@
+"""Property tests of exact_rank against a Gauss-Jordan oracle that shares no
+code with macaulay.poly: plain Fraction arithmetic over Q, and over Q(i)
+with each entry held as a (real, imaginary) pair of Fractions."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from macaulay import poly
+from macaulay.hermitian import GaussianRational
+from macaulay.poly import exact_rank, random_rank_primes, rank_mod_prime
+
+ZERO = (Fraction(0), Fraction(0))
+
+
+def c_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def c_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def c_inv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def oracle_rank(matrix: list[list[tuple[Fraction, Fraction]]]) -> int:
+    """Rank by Gauss-Jordan elimination on dense rows of complex pairs."""
+    rows = [list(r) for r in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != ZERO), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = c_inv(rows[rank][col])
+        rows[rank] = [c_mul(inv, x) for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col] != ZERO:
+                f = row[col]
+                rows[i] = [c_sub(x, c_mul(f, y)) for x, y in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def scalars(draw, gaussian: bool):
+    re = draw(small)
+    im = draw(small) if gaussian else Fraction(0)
+    return (re, im)
+
+
+@st.composite
+def known_rank_matrices(draw):
+    """(matrix, rank, gaussian): B @ C with B = [L; *] and C = [U | *], L and
+    U unit triangular r x r, so the product has rank exactly r; rows and
+    columns are then shuffled."""
+    gaussian = draw(st.booleans())
+    r = draw(st.integers(0, 4))
+    m = draw(st.integers(max(r, 1), 6))
+    n = draw(st.integers(max(r, 1), 6))
+    one = (Fraction(1), Fraction(0))
+    b = [[one if i == j else (ZERO if j > i and i < r else draw(scalars(gaussian))) for j in range(r)] for i in range(m)]
+    c = [[one if i == j else (ZERO if j < i else draw(scalars(gaussian))) for j in range(n)] for i in range(r)]
+    product = []
+    for i in range(m):
+        row = []
+        for j in range(n):
+            acc = ZERO
+            for k in range(r):
+                term = c_mul(b[i][k], c[k][j])
+                acc = (acc[0] + term[0], acc[1] + term[1])
+            row.append(acc)
+        product.append(row)
+    product = draw(st.permutations(product))
+    order = draw(st.permutations(range(n)))
+    return [[row[j] for j in order] for row in product], r, gaussian
+
+
+@st.composite
+def row_edits(draw, matrix, gaussian: bool):
+    """The matrix with rows duplicated, negated or scaled, and zero rows
+    added; none of these changes the rank."""
+    out = [list(row) for row in matrix]
+    n = len(matrix[0])
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("duplicate", "negate", "scale", "zero")))
+        if kind == "zero" or not out:
+            out.insert(draw(st.integers(0, len(out))), [ZERO] * n)
+            continue
+        src = out[draw(st.integers(0, len(out) - 1))]
+        if kind == "duplicate":
+            out.append(list(src))
+        elif kind == "negate":
+            out.append([c_sub(ZERO, x) for x in src])
+        else:
+            k = draw(scalars(gaussian).filter(lambda x: x != ZERO))
+            out.append([c_mul(k, x) for x in src])
+    return draw(st.permutations(out))
+
+
+@st.composite
+def entry(draw, value):
+    """One matrix entry as int, Fraction or GaussianRational."""
+    re, im = value
+    if im:
+        return GaussianRational(re, im)
+    kinds = ["fraction", "gaussian"] + (["int"] if re.denominator == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return int(re)
+    if kind == "fraction":
+        return re
+    return GaussianRational(re, 0)
+
+
+@st.composite
+def sparse_rows(draw, matrix):
+    """Sparse ``{column: value}`` rows over distinct, unordered column ids,
+    mixing scalar types, with some explicit zeros kept."""
+    n = len(matrix[0]) if matrix else 0
+    cols = draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n, unique=True))
+    rows = []
+    for row in matrix:
+        rows.append({
+            cols[j]: draw(entry(v))
+            for j, v in enumerate(row)
+            if v != ZERO or draw(st.booleans())
+        })
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_rank_matches_gauss_jordan_oracle(data):
+    matrix, r, gaussian = data.draw(known_rank_matrices())
+    assert oracle_rank(matrix) == r
+    edited = data.draw(row_edits(matrix, gaussian))
+    assert oracle_rank(edited) == r
+    rows = data.draw(sparse_rows(edited))
+    assert exact_rank(rows) == r
+    # a modular rank is a lower bound, also through the real embedding
+    assert rank_mod_prime(rows, random_rank_primes(r)[0]) <= r
+
+
+def test_odd_rank_of_the_real_embedding_raises(monkeypatch):
+    rows = [{0: GaussianRational(1, 1)}, {1: Fraction(1, 2)}]
+    assert exact_rank(rows) == 2
+    true_rank = poly._echelon_rank
+    monkeypatch.setattr(poly, "_echelon_rank", lambda int_rows: true_rank(int_rows) + 1)
+    with pytest.raises(ArithmeticError):
+        exact_rank(rows)
