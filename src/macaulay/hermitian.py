@@ -3,10 +3,12 @@
 A real-valued polynomial M(z, zbar), homogeneous of degree d in z and in
 zbar, is stored as the Hermitian matrix of its coefficients in the fixed
 degree-d monomial basis: ``matrix[i][j]`` is the coefficient of
-``z^basis[i] * conj(z)^basis[j]``.  Rank, signature, multiplication by
-signed norms, and the signature/rank inequalities for products all act on
-that matrix with exact Gaussian-rational arithmetic; no floating point
-appears anywhere.
+``z^basis[i] * conj(z)^basis[j]``.  Entries are exact Gaussian rationals.
+Rank and signature come from integer elimination on the matrix scaled to
+integers (a non-real matrix through its real symmetric embedding);
+square decompositions, multiplication by signed norms and the
+signature/rank inequalities for products work on the Gaussian-rational
+entries.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from .poly import (
     GradedIdeal,
     HomogPoly,
     Monomial,
+    _json_int,
+    _json_list,
+    _json_object,
+    _json_rational,
     exact_rank,
     graded_piece_dim,
     monomials_of_degree,
@@ -310,7 +316,9 @@ def biform_rank(form: HermitianBiform) -> int:
 
 def _peel_squares(form: HermitianBiform) -> list[tuple[Fraction, dict[int, GaussianRational]]]:
     """Split the matrix into weighted rank-one squares by exact congruence
-    elimination.
+    elimination over the Gaussian rationals; this serves :func:`decompose`,
+    which needs the square vectors (:func:`biform_signature` counts signs
+    on integers instead).
 
     While a nonzero diagonal entry d exists, peel the square
     ``d * |column/d|^2`` and pass to the Schur complement.  When the
@@ -387,12 +395,100 @@ def _peel_squares(form: HermitianBiform) -> list[tuple[Fraction, dict[int, Gauss
     return peeled
 
 
+def _congruence_signature(work: list[list[int]]) -> tuple[int, int]:
+    """Signature (p, q) of a real symmetric integer matrix; ``work`` is
+    consumed.
+
+    Each step takes the nonzero active diagonal entry d of smallest |d|,
+    counts its sign, and replaces the rest of the block by
+    ``|d|*W[r][s] - sgn(d)*W[r][k]*W[k][s]``, which is |d| times the Schur
+    complement, divided by its positive content.  If the active diagonal
+    is zero but some W[i][j] is not, the congruence row_i += row_j,
+    col_i += col_j makes W[i][i] = 2*W[i][j] and the step pivots there.
+    Zero rows (and with them the equal columns) are dropped.  Each step is
+    a congruence or a positive scaling, so by Sylvester's law the counted
+    signs are the signature whatever the pivot order.  The integers stay
+    small: the block after a step is divisible by every earlier pivot's
+    |d|, as in Bareiss elimination, and the content division removes it.
+    """
+    p = q = 0
+    while True:
+        keep = [t for t, row in enumerate(work) if any(row)]
+        if len(keep) < len(work):
+            work = [[work[r][s] for s in keep] for r in keep]
+        if not work:
+            return p, q
+        m = len(work)
+        k = min((t for t in range(m) if work[t][t]), key=lambda t: abs(work[t][t]), default=None)
+        if k is None:
+            k, j = next((r, s) for r in range(m) for s in range(r + 1, m) if work[r][s])
+            wk, wj = work[k], work[j]
+            for s in range(m):
+                wk[s] += wj[s]
+            for row in work:
+                row[k] += row[j]
+        prow = work[k]
+        d = prow[k]
+        if d > 0:
+            p += 1
+        else:
+            q += 1
+            prow = [-v for v in prow]
+        a = abs(d)
+        rest = [t for t in range(m) if t != k]
+        block = []
+        for r in rest:
+            row = work[r]
+            f = row[k]
+            if f:
+                block.append([a * row[s] - f * prow[s] for s in rest])
+            elif a != 1:
+                block.append([a * row[s] for s in rest])
+            else:
+                block.append([row[s] for s in rest])
+        g = math.gcd(*[math.gcd(*row) for row in block])
+        if g > 1:
+            block = [[v // g for v in row] for row in block]
+        work = block
+
+
 def biform_signature(form: HermitianBiform) -> SignaturePair:
-    """Signature (p, q) of the coefficient matrix, exactly."""
-    peeled = _peel_squares(form)
-    p = sum(1 for w, _ in peeled if w > 0)
-    q = sum(1 for w, _ in peeled if w < 0)
-    return SignaturePair(p, q)
+    """Signature (p, q) of the coefficient matrix, exactly.
+
+    The matrix M = A + iB is scaled by the lcm of the denominators of all
+    its real and imaginary parts, a positive integer.  If B != 0, the
+    signature is taken of the real symmetric embedding [[A, -B], [B, A]]
+    (column c of the two blocks interleaved as 2c and 2c + 1), which has
+    every eigenvalue of M twice, so its signature is (2p, 2q); an odd
+    count there raises ``ArithmeticError`` instead of being halved.  The
+    signature itself comes from integer congruence elimination
+    (:func:`_congruence_signature`): by Sylvester's law of inertia,
+    congruences and positive scalings keep the counts exact.
+    """
+    matrix = form.matrix
+    den = math.lcm(*(v.denominator for row in matrix for z in row for v in (z.re, z.im)))
+    gaussian = any(z.im for row in matrix for z in row)
+
+    def part(v) -> int:
+        return v.numerator * (den // v.denominator)
+
+    if not gaussian:
+        work = [[part(z.re) for z in row] for row in matrix]
+    else:
+        work = []
+        for row in matrix:
+            top, bottom = [], []
+            for z in row:
+                re, im = part(z.re), part(z.im)
+                top += (re, -im)
+                bottom += (im, re)
+            work += (top, bottom)
+    p, q = _congruence_signature(work)
+    if not gaussian:
+        return SignaturePair(p, q)
+    if p % 2 or q % 2:
+        raise ArithmeticError(f"real embedding has odd signature ({p}, {q})")
+    return SignaturePair(p // 2, q // 2)
 
 
 def decompose(form: HermitianBiform) -> list[SquareTerm]:
@@ -712,16 +808,19 @@ def parse_biform(text: str) -> HermitianBiform:
     "im": "p/q"}} and contributes coeff * z^alpha * conj(z)^beta.  When
     only one of a conjugate pair of entries is present, the other is
     filled in by Hermitian completion; when both are present they must
-    actually be conjugates, or the assembled matrix is rejected.
+    actually be conjugates, or the assembled matrix is rejected.  Every
+    schema fault raises ``ValueError``.
     """
-    doc = json.loads(text)
-    n_vars = int(doc["n_vars"])
-    d = int(doc["d"])
+    doc = _json_object(json.loads(text), ("n_vars", "d", "terms"), "biform document")
+    n_vars = _json_int(doc["n_vars"], "n_vars")
+    d = _json_int(doc["d"], "d")
     entries: dict[tuple[Monomial, Monomial], GaussianRational] = {}
-    for term in doc["terms"]:
-        alpha = tuple(int(e) for e in term["alpha"])
-        beta = tuple(int(e) for e in term["beta"])
-        coeff = GaussianRational(Fraction(term["coeff"]["re"]), Fraction(term["coeff"]["im"]))
+    for term in _json_list(doc["terms"], "terms"):
+        term = _json_object(term, ("alpha", "beta", "coeff"), "term")
+        alpha = tuple(_json_int(e, "exponent") for e in _json_list(term["alpha"], "alpha"))
+        beta = tuple(_json_int(e, "exponent") for e in _json_list(term["beta"], "beta"))
+        coeff = _json_object(term["coeff"], ("re", "im"), "coeff")
+        coeff = GaussianRational(_json_rational(coeff["re"], "re"), _json_rational(coeff["im"], "im"))
         key = (alpha, beta)
         entries[key] = entries.get(key, GaussianRational()) + coeff
     completed = dict(entries)

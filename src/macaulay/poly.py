@@ -569,22 +569,57 @@ def format_ideal(ideal: GradedIdeal) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _json_object(value, keys: tuple[str, ...], what: str) -> dict:
+    """``value`` if it is a JSON object holding every key, else ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    missing = [k for k in keys if k not in value]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_rational(value, what: str) -> Fraction:
+    """A "p/q" string or a JSON integer as an exact rational.  JSON floats
+    are refused: their binary value is rarely the decimal that was meant."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f'{what} must be a "p/q" string or an integer, got {value!r}')
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} has a zero denominator: {value!r}") from None
+
+
 def parse_ideal(text: str) -> GradedIdeal:
     """Parse the shared ideal document.
 
     Each generator is a list of terms {"coeff": "p/q", "exponents": [..]}.
     Degree-0 generators are rejected: a nonzero constant generates the
-    unit ideal and every Hilbert value would be the full space.
+    unit ideal and every Hilbert value would be the full space.  Every
+    schema fault raises ``ValueError``.
     """
-    doc = json.loads(text)
-    n_vars = int(doc["n_vars"])
+    doc = _json_object(json.loads(text), ("n_vars", "generators"), "ideal document")
+    n_vars = _json_int(doc["n_vars"], "n_vars")
     gens = []
-    for gen_terms in doc["generators"]:
+    for gen_terms in _json_list(doc["generators"], "generators"):
         terms: dict[Monomial, Fraction] = {}
         degree = None
-        for term in gen_terms:
-            mono = tuple(int(e) for e in term["exponents"])
-            coeff = Fraction(term["coeff"])
+        for term in _json_list(gen_terms, "generator"):
+            term = _json_object(term, ("coeff", "exponents"), "term")
+            mono = tuple(_json_int(e, "exponent") for e in _json_list(term["exponents"], "exponents"))
+            coeff = _json_rational(term["coeff"], "coeff")
             degree = monomial_degree(mono) if degree is None else degree
             terms[mono] = terms.get(mono, Fraction(0)) + coeff
         if degree is None:

@@ -172,6 +172,30 @@ def test_malformed_input_exits_2(capsys, tmp_path):
     assert main(["hilbert", str(const)]) == 2
 
 
+BIFORM_TERM = '{"alpha": [1, 0], "beta": [1, 0], "coeff": {"re": %s, "im": "0"}}'
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("verify", '{"n_vars": 2, "generators": 5}'),
+        ("verify", '{"n_vars": 2, "generators": [[{"coeff": "1/0", "exponents": [1, 0]}]]}'),
+        ("verify", "[1, 2]"),
+        ("verify", '{"n_vars": 2, "generators": [[{"coeff": 0.1, "exponents": [1, 0]}]]}'),
+        ("verify", '{"n_vars": 2.5, "generators": []}'),
+        ("hermitian", '{"n_vars": 2, "d": 1, "terms": [%s]}' % (BIFORM_TERM % '"1/0"')),
+        ("hermitian", '{"n_vars": 2, "d": 1, "terms": 5}'),
+        ("hermitian", "[1, 2]"),
+        ("hermitian", '{"n_vars": 2, "d": 1, "terms": [%s]}' % (BIFORM_TERM % "null")),
+    ],
+)
+def test_schema_faults_exit_2(capsys, tmp_path, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["macrep", "not-a-number", "3"])
