@@ -152,6 +152,8 @@ def cmd_bridge(n_max: int, d_max: int) -> Report:
 
 
 def cmd_hermitian(path: str, s: int | None, t: int | None, l: int) -> Report:
+    if l < 1:
+        raise ValueError(f"--l must be >= 1, got {l}")
     form = hermitian.parse_biform(Path(path).read_text())
     n = form.n_vars
     if s is None and t is None:
@@ -184,7 +186,10 @@ def cmd_hermitian(path: str, s: int | None, t: int | None, l: int) -> Report:
     }
     verdicts = {"product_rank_bounds": _verdict(low <= rank_product <= high)}
 
-    power = hermitian.multiply_norm_power(form, l)
+    if (s, t) == (n, 0):
+        power = hermitian.multiply_norm_power(product, l - 1)
+    else:
+        power = hermitian.multiply_norm_power(form, l)
     power_sig = hermitian.biform_signature(power)
     sos = power_sig.q == 0
     outputs["norm_power_rank"] = power_sig.rank

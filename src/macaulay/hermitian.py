@@ -4,11 +4,13 @@ A real-valued polynomial M(z, zbar), homogeneous of degree d in z and in
 zbar, is stored as the Hermitian matrix of its coefficients in the fixed
 degree-d monomial basis: ``matrix[i][j]`` is the coefficient of
 ``z^basis[i] * conj(z)^basis[j]``.  Entries are exact Gaussian rationals.
-Rank and signature come from integer elimination on the matrix scaled to
-integers (a non-real matrix through its real symmetric embedding);
-square decompositions, multiplication by signed norms and the
-signature/rank inequalities for products work on the Gaussian-rational
-entries.  No floating point appears anywhere.
+The rank comes from ``exact_rank`` (a non-real matrix through its real
+symmetric embedding).  The signature and the square decomposition come
+from one fraction-free congruence kernel over the Gaussian integers, on
+the matrix scaled to integers; the rank is kept on the other kernel so
+that rank == p + q checks one against the other.  Multiplication by
+signed norms and the signature/rank inequalities for products work on
+the Gaussian-rational entries.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -314,203 +316,144 @@ def biform_rank(form: HermitianBiform) -> int:
     return exact_rank(rows)
 
 
-def _peel_squares(form: HermitianBiform) -> list[tuple[Fraction, dict[int, GaussianRational]]]:
-    """Split the matrix into weighted rank-one squares by exact congruence
-    elimination over the Gaussian rationals; this serves :func:`decompose`,
-    which needs the square vectors (:func:`biform_signature` counts signs
-    on integers instead).
+def _integer_parts(form: HermitianBiform) -> tuple[int, list[list[int]], Optional[list[list[int]]]]:
+    """(den, re, im): the matrix times the lcm ``den`` of the denominators
+    of all its real and imaginary parts, as two int matrices; ``im`` is
+    None when the matrix is real."""
+    matrix = form.matrix
+    den = math.lcm(*(v.denominator for row in matrix for z in row for v in (z.re, z.im)))
+    re = [[z.re.numerator * (den // z.re.denominator) for z in row] for row in matrix]
+    if not any(z.im for row in matrix for z in row):
+        return den, re, None
+    return den, re, [[z.im.numerator * (den // z.im.denominator) for z in row] for row in matrix]
 
-    While a nonzero diagonal entry d exists, peel the square
-    ``d * |column/d|^2`` and pass to the Schur complement.  When the
-    active diagonal is entirely zero but some off-diagonal entry a != 0
-    remains, the 2x2 block [[0, a], [conj(a), 0]] splits exactly into one
-    positive and one negative unit square, and the corresponding rank-two
-    piece is removed.  Either step is a congruence, so by Sylvester's law
-    the sign counts are the signature regardless of pivot order.  The
-    returned coefficient vectors are linearly independent and live in the
-    original monomial basis.
+
+def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):
+    """Fraction-free Hermitian congruence elimination of W = re + i*im over
+    the Gaussian integers (``im`` None for a real W); yields
+    ``(delta, index, x, y, g)`` once per step.
+
+    Each step takes a direction u and sets delta = u^H W u and w = W u:
+    u = e_k at the nonzero diagonal entry of smallest |d| (the first index
+    on ties) or, if the diagonal is zero, u = e_i + conj(a) e_j for the
+    first off-diagonal a = W[i][j] != 0, so that delta = 2|a|^2 > 0.  It
+    replaces W by |delta| W - sgn(delta) w w^H and divides that by its
+    positive content g.  The step yields delta, w = x + iy (``y`` None
+    for a real W) on the rows whose original indices are ``index``, and g.
+    An e_k step drops row and column k, which it makes zero; zero rows are
+    dropped before each step.
+
+    Why the counts are exact: W = w w^H / delta + S with S u = 0, and in
+    a basis holding u (u replaces e_i by a unit triangular change) this is
+    the congruence W ~ diag(delta, S).  So sig W = sign(delta) + sig S,
+    and the new W is the positive multiple |delta| S / g of S.  By
+    Sylvester's law of inertia the signs of all the deltas are the
+    signature, whatever the directions.
+
+    Entry growth: divide each step's result by the previous step's
+    |delta| in place of the content (Bareiss).  That division is exact and
+    leaves |D| S, with S the Schur complement of the input W0 on the
+    directions U taken so far and D = det(U^H W0 U), so its entries are
+    the bordered determinants det([U, e_r]^H W0 [U, e_s]).  The argument
+    needs only Gaussian-integer directions, so it covers the zero-diagonal
+    step too.  The kernel's W is a positive multiple of |D| S with content
+    1, its primitive part, so Hadamard's bound on those determinants
+    bounds it.  An e_k direction adds no length to U; a zero-diagonal
+    direction has length about |a|, so each such step can add the bits of
+    its a to every later bound, and no better bound is claimed for a run
+    of them.
     """
-    dim = form.dim
-    work = [[form.matrix[i][j] for j in range(dim)] for i in range(dim)]
-    active = list(range(dim))
-    peeled: list[tuple[Fraction, dict[int, GaussianRational]]] = []
-    one = GaussianRational(1)
-    while active:
-        pivot = next((i for i in active if work[i][i]), None)
-        if pivot is not None:
-            d_g = work[pivot][pivot]
-            weight = d_g.re  # diagonal of a Hermitian matrix is real
-            vec = {r: work[r][pivot] / d_g for r in active if work[r][pivot]}
-            peeled.append((weight, vec))
-            others = [r for r in active if r != pivot]
-            col = {r: work[r][pivot] for r in others}
-            prow = work[pivot]
-            for r in others:
-                fr = col.get(r)
-                if not fr:
-                    continue
-                fr = fr / d_g
-                wr = work[r]
-                for s in others:
-                    if prow[s]:
-                        wr[s] = wr[s] - fr * prow[s]
-            active.remove(pivot)
-            continue
-        pair = None
-        for i in active:
-            wi = work[i]
-            for j in active:
-                if j > i and wi[j]:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        i, j = pair
-        a = work[i][j]
-        inv_2a = one / (a + a)
-        col_i = {r: work[r][i] for r in active}
-        col_j = {r: work[r][j] for r in active}
-        c_plus = {r: col_i[r] + col_j[r] * inv_2a for r in active}
-        c_plus = {r: v for r, v in c_plus.items() if v}
-        c_minus = {r: col_i[r] - col_j[r] * inv_2a for r in active}
-        c_minus = {r: v for r, v in c_minus.items() if v}
-        peeled.append((Fraction(1), c_plus))
-        peeled.append((Fraction(-1), c_minus))
-        row_i = dict(enumerate(work[i]))
-        row_j = dict(enumerate(work[j]))
-        inv_a = one / a
-        inv_abar = inv_a.conjugate()
-        for r in active:
-            wr = work[r]
-            ci = col_i[r]
-            cj = col_j[r]
-            if not ci and not cj:
-                continue
-            for s in active:
-                wr[s] = wr[s] - ci * inv_abar * row_j[s] - cj * inv_a * row_i[s]
-        active.remove(i)
-        active.remove(j)
-    return peeled
-
-
-def _congruence_signature(work: list[list[int]]) -> tuple[int, int]:
-    """Signature (p, q) of a real symmetric integer matrix; ``work`` is
-    consumed.
-
-    Each step takes the nonzero active diagonal entry d of smallest |d|,
-    counts its sign, and replaces the rest of the block by
-    ``|d|*W[r][s] - sgn(d)*W[r][k]*W[k][s]``, which is |d| times the Schur
-    complement, divided by its positive content.  If the active diagonal
-    is zero but some W[i][j] is not, the congruence row_i += row_j,
-    col_i += col_j makes W[i][i] = 2*W[i][j] and the step pivots there.
-    Zero rows (and with them the equal columns) are dropped.  Each step is
-    a congruence or a positive scaling, so by Sylvester's law the counted
-    signs are the signature whatever the pivot order.  The integers stay
-    small: the block after a step is divisible by every earlier pivot's
-    |d|, as in Bareiss elimination, and the content division removes it.
-    """
-    p = q = 0
+    index = list(range(len(re)))
     while True:
-        keep = [t for t, row in enumerate(work) if any(row)]
-        if len(keep) < len(work):
-            work = [[work[r][s] for s in keep] for r in keep]
-        if not work:
-            return p, q
-        m = len(work)
-        k = min((t for t in range(m) if work[t][t]), key=lambda t: abs(work[t][t]), default=None)
-        if k is None:
-            k, j = next((r, s) for r in range(m) for s in range(r + 1, m) if work[r][s])
-            wk, wj = work[k], work[j]
-            for s in range(m):
-                wk[s] += wj[s]
-            for row in work:
-                row[k] += row[j]
-        prow = work[k]
-        d = prow[k]
-        if d > 0:
-            p += 1
+        keep = [t for t in range(len(re)) if any(re[t]) or (im and any(im[t]))]
+        if len(keep) < len(re):
+            re = [[re[r][s] for s in keep] for r in keep]
+            im = im and [[im[r][s] for s in keep] for r in keep]
+            index = [index[t] for t in keep]
+        if not re:
+            return
+        m = len(re)
+        k = min((t for t in range(m) if re[t][t]), key=lambda t: abs(re[t][t]), default=None)
+        if k is not None:
+            delta, x, y = re[k][k], re[k], im and [-v for v in im[k]]
         else:
-            q += 1
-            prow = [-v for v in prow]
-        a = abs(d)
+            i, j = next((r, s) for r in range(m) for s in range(r + 1, m) if re[r][s] or (im and im[r][s]))
+            ar, ai = re[i][j], im[i][j] if im else 0
+            delta = 2 * (ar * ar + ai * ai)
+            x = [ri + ar * rj for ri, rj in zip(re[i], re[j])]
+            y = im and [-ii - ar * ij - ai * rj for ii, ij, rj in zip(im[i], im[j], re[j])]
+            if im:
+                x = [v - ai * ij for v, ij in zip(x, im[j])]
+            k = m  # the zero-diagonal step drops no row
+        scale = abs(delta)
         rest = [t for t in range(m) if t != k]
-        block = []
+        sx = [-v for v in x] if delta < 0 else x
+        sy = y and ([-v for v in y] if delta < 0 else y)
+        new_re, new_im = [], []
         for r in rest:
-            row = work[r]
-            f = row[k]
-            if f:
-                block.append([a * row[s] - f * prow[s] for s in rest])
-            elif a != 1:
-                block.append([a * row[s] for s in rest])
+            row, xr = re[r], x[r]
+            if im:
+                irow, yr = im[r], y[r]
+                new_re.append([scale * row[s] - xr * sx[s] - yr * sy[s] for s in rest])
+                new_im.append([scale * irow[s] - yr * sx[s] + xr * sy[s] for s in rest])
+            elif xr:
+                new_re.append([scale * row[s] - xr * sx[s] for s in rest])
             else:
-                block.append([row[s] for s in rest])
-        g = math.gcd(*[math.gcd(*row) for row in block])
+                new_re.append([scale * row[s] for s in rest])
+        g = math.gcd(*[math.gcd(*row) for row in new_re + new_im]) or 1
         if g > 1:
-            block = [[v // g for v in row] for row in block]
-        work = block
+            new_re = [[v // g for v in row] for row in new_re]
+            new_im = [[v // g for v in row] for row in new_im]
+        yield delta, index, x, y, g
+        re, im, index = new_re, new_im or None, index[:k] + index[k + 1:]
 
 
 def biform_signature(form: HermitianBiform) -> SignaturePair:
-    """Signature (p, q) of the coefficient matrix, exactly.
-
-    The matrix M = A + iB is scaled by the lcm of the denominators of all
-    its real and imaginary parts, a positive integer.  If B != 0, the
-    signature is taken of the real symmetric embedding [[A, -B], [B, A]]
-    (column c of the two blocks interleaved as 2c and 2c + 1), which has
-    every eigenvalue of M twice, so its signature is (2p, 2q); an odd
-    count there raises ``ArithmeticError`` instead of being halved.  The
-    signature itself comes from integer congruence elimination
-    (:func:`_congruence_signature`): by Sylvester's law of inertia,
-    congruences and positive scalings keep the counts exact.
-    """
-    matrix = form.matrix
-    den = math.lcm(*(v.denominator for row in matrix for z in row for v in (z.re, z.im)))
-    gaussian = any(z.im for row in matrix for z in row)
-
-    def part(v) -> int:
-        return v.numerator * (den // v.denominator)
-
-    if not gaussian:
-        work = [[part(z.re) for z in row] for row in matrix]
-    else:
-        work = []
-        for row in matrix:
-            top, bottom = [], []
-            for z in row:
-                re, im = part(z.re), part(z.im)
-                top += (re, -im)
-                bottom += (im, re)
-            work += (top, bottom)
-    p, q = _congruence_signature(work)
-    if not gaussian:
-        return SignaturePair(p, q)
-    if p % 2 or q % 2:
-        raise ArithmeticError(f"real embedding has odd signature ({p}, {q})")
-    return SignaturePair(p // 2, q // 2)
+    """Signature (p, q) of the coefficient matrix, exactly: the signs of
+    the steps of the Gaussian-integer congruence kernel
+    (:func:`_congruence_steps`) on the matrix scaled to integers."""
+    _, re, im = _integer_parts(form)
+    p = q = 0
+    for delta, *_ in _congruence_steps(re, im):
+        if delta > 0:
+            p += 1
+        else:
+            q += 1
+    return SignaturePair(p, q)
 
 
 def decompose(form: HermitianBiform) -> list[SquareTerm]:
     """Write the form as a weighted sum of squares of independent
     holomorphic polynomials: M = sum_i weight_i * |m_i(z)|^2, exactly.
 
-    There are p + q terms with p positive and q negative weights.  When a
-    weight's absolute value is a perfect rational square it is folded into
-    the polynomial, leaving weight +-1 (see :class:`SquareTerm` for why
-    unit weights are not always reachable).  Recomposition with
+    Each step (delta, w) of the congruence kernel (:func:`_congruence_steps`)
+    on the scaled matrix gives the square weight delta / lam with vector
+    w / delta, where lam is the running scale of the kernel's matrix over
+    the exact Schur complement of M: it starts at the lcm of the
+    denominators and each step multiplies it by |delta| / g.  There are
+    p + q terms with p positive and q negative weights.  When a weight's
+    absolute value is a perfect rational square it is folded into the
+    polynomial, leaving weight +-1 (see :class:`SquareTerm` for why unit
+    weights are not always reachable).  Recomposition with
     :func:`recompose_squares` reproduces the matrix entry for entry.
     """
     basis = form.basis
+    den, re, im = _integer_parts(form)
+    lam = Fraction(den)
     out = []
-    for weight, vec in _peel_squares(form):
-        weight = Fraction(weight)
+    for delta, index, x, y, g in _congruence_steps(re, im):
+        weight = delta / lam
+        lam = lam * abs(delta) / g
         root = _perfect_square_root(abs(weight))
-        if root != 1 and root is not None:
-            vec = {r: v * root for r, v in vec.items()}
+        factor = Fraction(1, delta)
         if root is not None:
+            factor *= root
             weight = Fraction(1) if weight > 0 else Fraction(-1)
-        terms = {basis[r]: v for r, v in vec.items()}
+        terms = {
+            basis[t]: GaussianRational(xr * factor, yr * factor)
+            for t, xr, yr in zip(index, x, y or [0] * len(x))
+            if xr or yr
+        }
         out.append(SquareTerm(weight, HomogPoly(form.n_vars, form.half_degree, terms)))
     return out
 

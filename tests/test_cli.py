@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from macaulay import hermitian
 from macaulay.cli import Report, main
 from macaulay.hermitian import biform_from_terms, format_biform, zero_biform
 from macaulay.poly import GradedIdeal, format_ideal, variable
@@ -128,6 +129,47 @@ def test_hermitian_command_zero_form(capsys, tmp_path):
     code, doc = run_structured(capsys, "hermitian", str(path))
     assert code == 0
     assert set(doc["verdicts"].values()) == {"not-applicable"}
+
+
+HERMITIAN_FORMS = {
+    "zero": zero_biform(2, 1),
+    "psd": biform_from_terms(2, 1, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), 2), ((1, 0), (0, 1), 1), ((0, 1), (1, 0), 1)]),
+    "indefinite": biform_from_terms(2, 1, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), -1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HERMITIAN_FORMS))
+def test_hermitian_command_rejects_l_below_1(capsys, tmp_path, name):
+    path = tmp_path / "b.json"
+    path.write_text(format_biform(HERMITIAN_FORMS[name]))
+    for l in ("0", "-1"):
+        assert main(["hermitian", str(path), "--l", l]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["psd", "indefinite"])
+def test_hermitian_command_builds_the_euclidean_product_once(capsys, monkeypatch, tmp_path, name):
+    form = HERMITIAN_FORMS[name]
+    path = tmp_path / "b.json"
+    path.write_text(format_biform(form))
+    product_rank = hermitian.biform_rank(hermitian.multiply_signed_norm(form, (2, 0)))
+    power_sig = {l: hermitian.biform_signature(hermitian.multiply_norm_power(form, l)) for l in (1, 2, 3)}
+    calls = []
+    multiply = hermitian.multiply_signed_norm
+
+    def counting(f, norm):
+        calls.append(tuple(norm))
+        return multiply(f, norm)
+
+    monkeypatch.setattr(hermitian, "multiply_signed_norm", counting)
+    for l in (1, 2, 3):
+        calls.clear()
+        code, doc = run_structured(capsys, "hermitian", str(path), "--l", str(l))
+        assert code == 0
+        assert calls == [(2, 0)] * l
+        assert doc["outputs"]["product_rank"] == product_rank
+        assert doc["outputs"]["norm_power_rank"] == power_sig[l].rank
+        assert doc["outputs"]["norm_power_is_sum_of_squares"] is (power_sig[l].q == 0)
 
 
 def test_min_sos_command(capsys, tmp_path):
