@@ -98,6 +98,8 @@ def cmd_lemma_scan(m_max: int, d_max: int, s_max: int) -> Report:
 
 
 def cmd_hilbert(path: str, d_max: int, mode: str) -> Report:
+    if d_max < 0:
+        raise ValueError(f"--d-max must be >= 0, got {d_max}")
     ideal = poly.parse_ideal(Path(path).read_text())
     records = [poly.hilbert_record(ideal, d, mode=mode) for d in range(d_max + 1)]
     identity_ok = all(
@@ -117,6 +119,8 @@ def cmd_hilbert(path: str, d_max: int, mode: str) -> Report:
 
 
 def cmd_verify(path: str, d_max: int, mode: str) -> Report:
+    if d_max < 2:
+        raise ValueError(f"--d-max must be >= 2 to check any degree, got {d_max}")
     ideal = poly.parse_ideal(Path(path).read_text())
     checks = poly.verify_macaulay(ideal, d_max, mode=mode)
     return Report(
@@ -160,6 +164,10 @@ def cmd_hermitian(path: str, s: int | None, t: int | None, l: int) -> Report:
         s, t = n, 0
     elif s is None or t is None:
         raise ValueError("give both --s and --t, or neither")
+    if n < 2:
+        raise ValueError(f"the bounds need at least 2 variables, got {n}")
+    if s < 0 or t < 0 or s + t != n:
+        raise ValueError(f"--s and --t must be >= 0 with s + t = {n}, got ({s}, {t})")
     inputs = {"file": path, "n_vars": n, "d": form.half_degree, "s": s, "t": t, "l": l}
     if form.is_zero():
         return Report(
@@ -225,6 +233,8 @@ def cmd_min_sos(path: str, l_max: int) -> Report:
 
 
 def cmd_corpus(args: argparse.Namespace) -> Report:
+    if args.d_max < 2:
+        raise ValueError(f"--d-max must be >= 2 to check any degree, got {args.d_max}")
     spec = oracle.CorpusSpec(
         n_vars=(args.n_min, args.n_max),
         gens=(args.gens_min, args.gens_max),
@@ -277,45 +287,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "structured"), default="text",
                         help="report rendering: human-readable text or JSON")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # Each handler looks its cmd_* function up by name when it runs, so a
+    # caller that rebinds a module attribute (a tracer, a test) is honoured.
 
     p = sub.add_parser("macrep", help="Macaulay representation of an integer")
     p.add_argument("A", type=int)
     p.add_argument("n", type=int)
+    p.set_defaults(handler=lambda a: cmd_macrep(a.A, a.n))
 
     p = sub.add_parser("shift", help="apply the shift operator to a representation")
     p.add_argument("A", type=int)
     p.add_argument("n", type=int)
     p.add_argument("s", type=int)
     p.add_argument("t", type=int)
+    p.set_defaults(handler=lambda a: cmd_shift(a.A, a.n, a.s, a.t))
 
     p = sub.add_parser("lemma-scan", help="exhaustively check the complementary-split shift identity")
     p.add_argument("--m-max", type=int, default=6)
     p.add_argument("--d-max", type=int, default=6)
     p.add_argument("--s-max", type=int, default=3)
+    p.set_defaults(handler=lambda a: cmd_lemma_scan(a.m_max, a.d_max, a.s_max))
 
     p = sub.add_parser("hilbert", help="Hilbert function table of an ideal file")
     p.add_argument("ideal_file")
     p.add_argument("--d-max", type=int, default=6)
     p.add_argument("--mode", choices=("exact", "modular-checked"), default="exact")
+    p.set_defaults(handler=lambda a: cmd_hilbert(a.ideal_file, a.d_max, a.mode))
 
     p = sub.add_parser("verify", help="check the growth bounds on an ideal file")
     p.add_argument("ideal_file")
     p.add_argument("--d-max", type=int, default=6)
     p.add_argument("--mode", choices=("exact", "modular-checked"), default="exact")
+    p.set_defaults(handler=lambda a: cmd_verify(a.ideal_file, a.d_max, a.mode))
 
     p = sub.add_parser("bridge", help="check the split identity linking the two bound formulations")
     p.add_argument("n_max", type=int)
     p.add_argument("d_max", type=int)
+    p.set_defaults(handler=lambda a: cmd_bridge(a.n_max, a.d_max))
 
     p = sub.add_parser("hermitian", help="signature, ranks, and bound verdicts for a biform file")
     p.add_argument("biform_file")
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--l", type=int, default=1)
+    p.set_defaults(handler=lambda a: cmd_hermitian(a.biform_file, a.s, a.t, a.l))
 
     p = sub.add_parser("min-sos", help="least norm power making a biform a sum of squared norms")
     p.add_argument("biform_file")
     p.add_argument("--l-max", type=int, default=8)
+    p.set_defaults(handler=lambda a: cmd_min_sos(a.biform_file, a.l_max))
 
     p = sub.add_parser("corpus", help="generate a seeded ideal corpus and verify the growth bounds on it")
     p.add_argument("--seed", type=int, default=0)
@@ -330,38 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", default="monomial,dense")
     p.add_argument("--mode", choices=("exact", "modular-checked"), default="exact")
     p.add_argument("--lex-probe", type=int, nargs=2, metavar=("N", "D"), default=None)
+    p.set_defaults(handler=lambda a: cmd_corpus(a))
 
     return parser
-
-
-def run(args: argparse.Namespace) -> Report:
-    cmd = args.subcommand
-    if cmd == "macrep":
-        return cmd_macrep(args.A, args.n)
-    if cmd == "shift":
-        return cmd_shift(args.A, args.n, args.s, args.t)
-    if cmd == "lemma-scan":
-        return cmd_lemma_scan(args.m_max, args.d_max, args.s_max)
-    if cmd == "hilbert":
-        return cmd_hilbert(args.ideal_file, args.d_max, args.mode)
-    if cmd == "verify":
-        return cmd_verify(args.ideal_file, args.d_max, args.mode)
-    if cmd == "bridge":
-        return cmd_bridge(args.n_max, args.d_max)
-    if cmd == "hermitian":
-        return cmd_hermitian(args.biform_file, args.s, args.t, args.l)
-    if cmd == "min-sos":
-        return cmd_min_sos(args.biform_file, args.l_max)
-    if cmd == "corpus":
-        return cmd_corpus(args)
-    raise AssertionError(f"unhandled subcommand {cmd}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = run(args)
+        report = args.handler(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,8 +5,8 @@ tuples to nonzero exact coefficients, and the degree-d piece of an ideal
 is the row space of the matrix of all monomial multiples of its
 generators.  Dimensions come out of exact integer elimination on
 primitive rows (Gaussian rows through their real embedding), so every
-Hilbert function value is exact; an optional modular mode computes the
-same ranks over large primes as a cross-check.
+Hilbert function value is exact; an optional mode checks each rank
+against a modular elimination over three fixed large primes.
 
 Coefficients are ``fractions.Fraction`` throughout.  Polynomial
 arithmetic uses field operations only, and the rank routines read a
@@ -390,43 +390,9 @@ def rank_mod_prime(rows: Iterable[dict[int, object]], p: int) -> int:
     return (rank + 1) // 2 if gaussian else rank
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit integers."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_rank_primes(seed: int, count: int = 3) -> list[int]:
-    """Deterministic distinct primes >= 2**31 derived from a seed."""
-    primes: list[int] = []
-    state = (seed * 0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03) % 2**64
-    while len(primes) < count:
-        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
-        candidate = 2**31 + (state % 2**31) | 1
-        while not _is_probable_prime(candidate):
-            candidate += 2
-        if candidate not in primes:
-            primes.append(candidate)
-    return primes
+# The primes of the modular-checked mode: distinct, >= 2**31, fixed so that
+# every run checks against the same eliminations.
+RANK_PRIMES = (2291050459, 4115409913, 3431386421)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +417,7 @@ def _graded_piece_rows(ideal: GradedIdeal, d: int) -> list[dict[int, object]]:
     return rows
 
 
-def graded_piece_dim(ideal: GradedIdeal, d: int, mode: str = "exact", seed: int = 0) -> int:
+def graded_piece_dim(ideal: GradedIdeal, d: int, mode: str = "exact") -> int:
     """dim I_d, the Hilbert function of the ideal at degree d.
 
     The degree-d piece of an ideal with homogeneous generators g_i is
@@ -459,25 +425,22 @@ def graded_piece_dim(ideal: GradedIdeal, d: int, mode: str = "exact", seed: int 
     so its dimension is the rank of that product matrix; no syzygy or basis
     computation is needed for a single graded piece.
 
-    mode="exact" (default) uses ``exact_rank``.
-    mode="modular-checked" is a cross-check by a different elimination:
-    ranks over three seeded random primes >= 2**31 that must agree with
-    each other; the result is certainly a lower bound and is overwhelmingly
-    likely exact.  It is not faster than the exact mode.  Tests compare
-    the two modes.
+    Both modes return ``exact_rank``.  mode="modular-checked" also checks
+    it against a different elimination, ``rank_mod_prime``, over the
+    primes of ``RANK_PRIMES``: at least one must give the same rank, or the
+    call raises ``ArithmeticError``.  A modular rank falls short only when
+    the prime divides every maximal nonzero minor of the integer rows, so a
+    mismatch at all three primes points at a bug; it is never answered.
     """
+    if mode not in ("exact", "modular-checked"):
+        raise ValueError(f"unknown mode {mode!r}")
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     rows = _graded_piece_rows(ideal, d)
-    if mode == "exact":
-        return exact_rank(rows)
-    if mode == "modular-checked":
-        ranks = {rank_mod_prime(rows, p) for p in random_rank_primes(seed)}
-        if len(ranks) > 1:
-            # unlucky primes: fall back to the certain answer
-            return exact_rank(rows)
-        return ranks.pop()
-    raise ValueError(f"unknown mode {mode!r}")
+    rank = exact_rank(rows)
+    if mode == "modular-checked" and all(rank_mod_prime(rows, p) != rank for p in RANK_PRIMES):
+        raise ArithmeticError(f"exact rank {rank} of I_{d} matches no modular rank over {RANK_PRIMES}")
+    return rank
 
 
 def hilbert_record(ideal: GradedIdeal, d: int, mode: str = "exact") -> HilbertRecord:

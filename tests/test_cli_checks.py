@@ -1,0 +1,104 @@
+"""Checks the CLI makes before it reports: the modular cross-check of the
+Hilbert function, and argument ranges refused before any work starts."""
+
+import json
+
+import pytest
+
+from macaulay import hermitian, poly
+from macaulay.cli import main
+from macaulay.hermitian import biform_from_terms, format_biform, zero_biform
+from macaulay.poly import RANK_PRIMES, GradedIdeal, format_ideal, graded_piece_dim, variable
+
+Z1 = GradedIdeal(2, (variable(0, 2),))
+
+
+@pytest.fixture
+def z1_file(tmp_path):
+    path = tmp_path / "z1.json"
+    path.write_text(format_ideal(Z1))
+    return str(path)
+
+
+def hilbert_table(capsys, *argv):
+    assert main(["--format", "structured", "hilbert", *argv]) == 0
+    return json.loads(capsys.readouterr().out)["outputs"]["h_ideal"]
+
+
+def test_modular_checked_raises_when_no_prime_agrees(capsys, monkeypatch, z1_file):
+    exact = [graded_piece_dim(Z1, d) for d in range(4)]
+    assert exact == [0, 1, 2, 3]
+    true_rank_mod_prime = poly.rank_mod_prime
+    monkeypatch.setattr(poly, "rank_mod_prime", lambda rows, p: true_rank_mod_prime(rows, p) + 1)
+    for d in range(4):
+        with pytest.raises(ArithmeticError):
+            graded_piece_dim(Z1, d, mode="modular-checked")
+    with pytest.raises(ArithmeticError):
+        main(["hilbert", z1_file, "--d-max", "3", "--mode", "modular-checked"])
+    assert capsys.readouterr().out == ""
+    # the exact mode never reads a modular rank
+    assert [graded_piece_dim(Z1, d) for d in range(4)] == exact
+    assert hilbert_table(capsys, z1_file, "--d-max", "3") == exact
+
+
+def test_modular_checked_needs_one_agreeing_prime(capsys, monkeypatch, z1_file):
+    true_rank_mod_prime = poly.rank_mod_prime
+    seen = []
+
+    def unlucky_first_prime(rows, p):
+        seen.append(p)
+        return true_rank_mod_prime(rows, p) - (p == RANK_PRIMES[0])
+
+    monkeypatch.setattr(poly, "rank_mod_prime", unlucky_first_prime)
+    assert graded_piece_dim(Z1, 2, mode="modular-checked") == 2
+    assert seen == list(RANK_PRIMES[:2])
+    assert hilbert_table(capsys, z1_file, "--d-max", "3", "--mode", "modular-checked") == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{f}", "--d-max", "1"],
+    ["verify", "{f}", "--d-max", "0"],
+    ["verify", "{f}", "--d-max", "1", "--mode", "modular-checked"],
+    ["corpus", "--d-max", "1"],
+    ["corpus", "--d-max", "-3"],
+    ["hilbert", "{f}", "--d-max", "-1"],
+])
+def test_no_verdict_over_an_empty_check(capsys, monkeypatch, z1_file, argv):
+    monkeypatch.setattr(poly, "parse_ideal", lambda text: pytest.fail("read the ideal file"))
+    assert main([a.format(f=z1_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --d-max must be >= ")
+
+
+def test_smallest_d_max_that_checks_something(capsys, z1_file):
+    for argv, key, count in (
+        (["verify", z1_file, "--d-max", "2"], "checks", 1),
+        (["hilbert", z1_file, "--d-max", "0"], "degrees", 1),
+    ):
+        assert main(["--format", "structured", *argv]) == 0
+        assert len(json.loads(capsys.readouterr().out)["outputs"][key]) == count
+    assert main(["--format", "structured", "corpus", "--d-max", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"]["growth_bounds"] == "ok"
+
+
+BAD_SIGNED_NORMS = [
+    (biform_from_terms(1, 1, [((1,), (1,), 1)]), []),
+    (biform_from_terms(2, 1, [((1, 0), (1, 0), 1)]), ["--s", "3", "--t", "-1"]),
+    (biform_from_terms(2, 1, [((1, 0), (1, 0), 1)]), ["--s", "-1", "--t", "3"]),
+    (biform_from_terms(2, 1, [((1, 0), (1, 0), 1)]), ["--s", "1", "--t", "0"]),
+    (biform_from_terms(2, 1, [((1, 0), (1, 0), 1)]), ["--s", "2", "--t", "1"]),
+    (zero_biform(2, 1), ["--s", "3", "--t", "-1"]),
+]
+
+
+@pytest.mark.parametrize("form, argv", BAD_SIGNED_NORMS)
+def test_hermitian_validates_before_any_elimination(capsys, monkeypatch, tmp_path, form, argv):
+    path = tmp_path / "b.json"
+    path.write_text(format_biform(form))
+    calls = []
+    for name in ("biform_signature", "biform_rank"):
+        monkeypatch.setattr(hermitian, name, lambda f, name=name: calls.append(name))
+    assert main(["hermitian", str(path), *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
