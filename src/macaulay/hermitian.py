@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .binom import shift_apply
@@ -199,7 +200,7 @@ class HermitianBiform:
     with the basis fixed by :func:`macaulay.poly.monomials_of_degree`.
     """
 
-    __slots__ = ("n_vars", "half_degree", "matrix")
+    __slots__ = ("n_vars", "half_degree", "den", "re", "im")
 
     def __init__(self, n_vars: int, half_degree: int, matrix: Sequence[Sequence]):
         basis = monomials_of_degree(n_vars, half_degree)
@@ -214,9 +215,31 @@ class HermitianBiform:
                         f"matrix is not Hermitian at ({i},{j}): "
                         f"{coerced[i][j]} vs conj({coerced[j][i]})"
                     )
+        den = math.lcm(*(v.denominator for row in coerced for z in row for v in (z.re, z.im)))
+        re = [[int(z.re * den) for z in row] for row in coerced]
+        self._store(n_vars, half_degree, den, re, [[int(z.im * den) for z in row] for row in coerced])
+
+    @classmethod
+    def _from_ints(cls, n_vars: int, half_degree: int, den: int, re, im) -> "HermitianBiform":
+        """The form (re + i*im) / den from int parts known to be Hermitian."""
+        form = cls.__new__(cls)
+        form._store(n_vars, half_degree, den, re, im)
+        return form
+
+    def _store(self, n_vars: int, half_degree: int, den: int, re, im) -> None:
+        g = math.gcd(den, *(math.gcd(*row) for row in re), *(math.gcd(*row) for row in im or ()))
         self.n_vars = n_vars
         self.half_degree = half_degree
-        self.matrix = coerced
+        self.den = den // g
+        self.re = tuple(tuple(v // g for v in row) for row in re)
+        self.im = tuple(tuple(v // g for v in row) for row in im) if im and any(map(any, im)) else None
+
+    @property
+    def matrix(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        """The Gaussian-rational entries, built from (den, re, im) on each read."""
+        den, im = self.den, self.im or ((0,) * self.dim,) * self.dim
+        return tuple(tuple(GaussianRational(Fraction(a, den), Fraction(b, den)) for a, b in zip(ra, ia))
+                     for ra, ia in zip(self.re, im))
 
     @property
     def basis(self) -> tuple[Monomial, ...]:
@@ -224,19 +247,15 @@ class HermitianBiform:
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self.re)
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.matrix)
+        return self.im is None and not any(map(any, self.re))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HermitianBiform):
             return NotImplemented
-        return (
-            self.n_vars == other.n_vars
-            and self.half_degree == other.half_degree
-            and self.matrix == other.matrix
-        )
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     def __repr__(self) -> str:
         return f"HermitianBiform(n_vars={self.n_vars}, d={self.half_degree}, dim={self.dim})"
@@ -309,23 +328,13 @@ def biform_from_squares(
 
 
 def biform_rank(form: HermitianBiform) -> int:
-    """Exact rank of the coefficient matrix, by ``exact_rank`` over Q(i)."""
-    rows = []
-    for row in form.matrix:
-        rows.append({j: v for j, v in enumerate(row) if v})
-    return exact_rank(rows)
-
-
-def _integer_parts(form: HermitianBiform) -> tuple[int, list[list[int]], Optional[list[list[int]]]]:
-    """(den, re, im): the matrix times the lcm ``den`` of the denominators
-    of all its real and imaginary parts, as two int matrices; ``im`` is
-    None when the matrix is real."""
-    matrix = form.matrix
-    den = math.lcm(*(v.denominator for row in matrix for z in row for v in (z.re, z.im)))
-    re = [[z.re.numerator * (den // z.re.denominator) for z in row] for row in matrix]
-    if not any(z.im for row in matrix for z in row):
-        return den, re, None
-    return den, re, [[z.im.numerator * (den // z.im.denominator) for z in row] for row in matrix]
+    """Exact rank of the coefficient matrix, by ``exact_rank`` over Q(i) on
+    the integer parts (den times the matrix has the same rank)."""
+    im = form.im or ((0,) * form.dim,) * form.dim
+    return exact_rank([
+        {j: GaussianRational(a, b) for j, (a, b) in enumerate(zip(ra, ia)) if a or b}
+        for ra, ia in zip(form.re, im)
+    ])
 
 
 def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):
@@ -412,9 +421,8 @@ def biform_signature(form: HermitianBiform) -> SignaturePair:
     """Signature (p, q) of the coefficient matrix, exactly: the signs of
     the steps of the Gaussian-integer congruence kernel
     (:func:`_congruence_steps`) on the matrix scaled to integers."""
-    _, re, im = _integer_parts(form)
     p = q = 0
-    for delta, *_ in _congruence_steps(re, im):
+    for delta, *_ in _congruence_steps(form.re, form.im):
         if delta > 0:
             p += 1
         else:
@@ -438,10 +446,9 @@ def decompose(form: HermitianBiform) -> list[SquareTerm]:
     :func:`recompose_squares` reproduces the matrix entry for entry.
     """
     basis = form.basis
-    den, re, im = _integer_parts(form)
-    lam = Fraction(den)
+    lam = Fraction(form.den)
     out = []
-    for delta, index, x, y, g in _congruence_steps(re, im):
+    for delta, index, x, y, g in _congruence_steps(form.re, form.im):
         weight = delta / lam
         lam = lam * abs(delta) / g
         root = _perfect_square_root(abs(weight))
@@ -466,6 +473,17 @@ def _perfect_square_root(value: Fraction) -> Optional[Fraction]:
     return None
 
 
+@lru_cache(maxsize=None)
+def _lowered(n_vars: int, d: int) -> tuple[dict[int, int], ...]:
+    """For each degree-(d+1) monomial A, the map j -> index of A - e_j in
+    the degree-d basis, over the j with A_j > 0.  Shared; never mutated."""
+    index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d))}
+    return tuple(
+        {j: index[a[:j] + (a[j] - 1,) + a[j + 1:]] for j in range(n_vars) if a[j]}
+        for a in monomials_of_degree(n_vars, d + 1)
+    )
+
+
 def multiply_signed_norm(form: HermitianBiform, norm: SignedNorm | tuple[int, int]) -> HermitianBiform:
     """Multiply by the signed norm of signature (s, t): the bidegree goes
     up by one and the product entry at (A, B) is the signed sum of the
@@ -473,25 +491,14 @@ def multiply_signed_norm(form: HermitianBiform, norm: SignedNorm | tuple[int, in
     s, t = norm
     if s < 0 or t < 0 or s + t != form.n_vars:
         raise ValueError(f"signed norm ({s},{t}) does not match {form.n_vars} variables")
-    n = form.n_vars
-    d = form.half_degree
-    src_index = {m: i for i, m in enumerate(monomials_of_degree(n, d))}
-    dst_basis = monomials_of_degree(n, d + 1)
-    dim = len(dst_basis)
-    rows = [[GaussianRational() for _ in range(dim)] for _ in range(dim)]
-    for ai, alpha in enumerate(dst_basis):
-        for bi, beta in enumerate(dst_basis):
-            acc = GaussianRational()
-            for j in range(n):
-                if alpha[j] == 0 or beta[j] == 0:
-                    continue
-                am = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-                bm = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
-                v = form.matrix[src_index[am]][src_index[bm]]
-                if v:
-                    acc = acc + v if j < s else acc - v
-            rows[ai][bi] = acc
-    return HermitianBiform(n, d + 1, rows)
+    lowered = _lowered(form.n_vars, form.half_degree)
+    signs = (1,) * s + (-1,) * t
+
+    def times_norm(mat):
+        return [[sum(signs[j] * mat[a][lb[j]] for j, a in la.items() if j in lb) for lb in lowered] for la in lowered]
+
+    re, im = (times_norm(part) if part else None for part in (form.re, form.im))
+    return HermitianBiform._from_ints(form.n_vars, form.half_degree + 1, form.den, re, im)
 
 
 def multiply_norm_power(form: HermitianBiform, power: int) -> HermitianBiform:
@@ -508,9 +515,11 @@ def divide_norm_power(form: HermitianBiform, power: int) -> Optional[HermitianBi
     """Exact quotient by the Euclidean norm squared to the given power, or
     None when the form is not divisible.
 
-    One division step solves F[A][B] = sum_j M[A-e_j][B-e_j] for M by
-    recursion on the first exponent of A, then certifies the candidate by
-    multiplying back.
+    One division step solves F[A][B] = sum_j M[A-e_j][B-e_j] for M row by
+    row: with A = alpha + e_1 and B = beta + e_1, F[A][B] is M[alpha][beta]
+    plus entries in the rows A - e_j (j > 1), which come before alpha in
+    the basis order (their reversed exponents are smaller at position j).
+    It then certifies the candidate by multiplying back.
     """
     if power < 0:
         raise ValueError("power must be nonnegative")
@@ -525,36 +534,22 @@ def divide_norm_power(form: HermitianBiform, power: int) -> Optional[HermitianBi
 def _divide_norm_once(form: HermitianBiform) -> Optional[HermitianBiform]:
     if form.half_degree < 1:
         return None
-    n = form.n_vars
-    d = form.half_degree - 1
-    src_index = {m: i for i, m in enumerate(form.basis)}
-    dst_basis = monomials_of_degree(n, d)
-    known: dict[tuple[Monomial, Monomial], GaussianRational] = {}
+    n, d = form.n_vars, form.half_degree - 1
+    lowered = _lowered(n, d)
+    # (index, lowered) of alpha + e_1 for each degree-d alpha, in the order
+    # of alpha: adding e_1 shifts only the last reversed exponent
+    raised = [(i, la) for i, la in enumerate(lowered) if 0 in la]
 
-    def lookup(a: Monomial, b: Monomial) -> GaussianRational:
-        if min(a) < 0 or min(b) < 0:
-            return GaussianRational()
-        return known[(a, b)]
+    def divided(mat):
+        out = []
+        for ia, la in raised:
+            out.append([mat[ia][ib] - sum(out[a][lb[j]] for j, a in la.items() if j and j in lb) for ib, lb in raised])
+        return out
 
-    for alpha in sorted(dst_basis, key=lambda m: -m[0]):
-        a_up = (alpha[0] + 1,) + alpha[1:]
-        for beta in dst_basis:
-            b_up = (beta[0] + 1,) + beta[1:]
-            acc = form.matrix[src_index[a_up]][src_index[b_up]]
-            for j in range(1, n):
-                am = a_up[:j] + (a_up[j] - 1,) + a_up[j + 1:]
-                bm = b_up[:j] + (b_up[j] - 1,) + b_up[j + 1:]
-                acc = acc - lookup(am, bm)
-            known[(alpha, beta)] = acc
-    dst_index = {m: i for i, m in enumerate(dst_basis)}
-    dim = len(dst_basis)
-    rows = [[GaussianRational() for _ in range(dim)] for _ in range(dim)]
-    for (alpha, beta), v in known.items():
-        rows[dst_index[alpha]][dst_index[beta]] = v
-    try:
-        candidate = HermitianBiform(n, d, rows)
-    except ValueError:
-        return None
+    re, im = (divided(part) if part else None for part in (form.re, form.im))
+    candidate = HermitianBiform._from_ints(n, d, form.den, re, im)
+    # M -> M * ||z||^2 is injective and commutes with the conjugate transpose,
+    # so a candidate that multiplies back to the Hermitian form is Hermitian.
     if multiply_signed_norm(candidate, SignedNorm(n, 0)) != form:
         return None
     return candidate
@@ -728,10 +723,11 @@ def format_biform(form: HermitianBiform) -> str:
     written; parsing restores the rest by Hermitian completion.  All
     rationals are "p/q" strings, so the round trip is bit exact."""
     basis = form.basis
+    matrix = form.matrix
     terms = []
     for i in range(form.dim):
         for j in range(i, form.dim):
-            v = form.matrix[i][j]
+            v = matrix[i][j]
             if v:
                 terms.append(
                     {

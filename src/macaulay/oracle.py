@@ -285,12 +285,13 @@ def congruence_transform(form: HermitianBiform, c: list[list[GaussianRational]])
     """C^H * matrix * C as a biform over the same basis (C invertible
     preserves rank and signature by Sylvester's law)."""
     dim = form.dim
+    matrix = form.matrix
     tmp = [[GaussianRational() for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
             acc = GaussianRational()
             for k in range(dim):
-                acc = acc + form.matrix[i][k] * c[k][j]
+                acc = acc + matrix[i][k] * c[k][j]
             tmp[i][j] = acc
     out = [[GaussianRational() for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
