@@ -6,7 +6,9 @@ structured``) that parses back into the same report.  All rational values
 are rendered as decimal-free "p/q" strings.
 
 Exit codes: 0 when every verdict is ok or not-applicable, 1 when any
-verdict is violated, 2 on malformed input or usage errors.
+verdict is violated, 2 on malformed input or usage errors, 3 when an
+internal consistency check fails (an ``ArithmeticError``: a bug, never an
+answer).
 """
 
 from __future__ import annotations
@@ -363,6 +365,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     print(report.to_json() if args.format == "structured" else report.to_text())
     return report.exit_code
 

@@ -3,14 +3,16 @@
 A real-valued polynomial M(z, zbar), homogeneous of degree d in z and in
 zbar, is stored as the Hermitian matrix of its coefficients in the fixed
 degree-d monomial basis: ``matrix[i][j]`` is the coefficient of
-``z^basis[i] * conj(z)^basis[j]``.  Entries are exact Gaussian rationals.
-The rank comes from ``exact_rank`` (a non-real matrix through its real
-symmetric embedding).  The signature and the square decomposition come
-from one fraction-free congruence kernel over the Gaussian integers, on
-the matrix scaled to integers; the rank is kept on the other kernel so
-that rank == p + q checks one against the other.  Multiplication by
-signed norms and the signature/rank inequalities for products work on
-the Gaussian-rational entries.  No floating point appears anywhere.
+``z^basis[i] * conj(z)^basis[j]``.  The matrix is held once, as integers:
+(re + i*im) / den with int matrices ``re`` and ``im`` and the least
+positive common denominator ``den``.  The rank comes from ``exact_rank``
+on those integer parts (a non-real matrix through its real symmetric
+embedding).  The signature and the square decomposition come from one
+fraction-free congruence kernel over the Gaussian integers on ``re`` and
+``im``; the rank is kept on the other kernel so that rank == p + q checks
+one against the other.  Multiplication and exact division by signed norms
+are integer-linear maps applied to ``re`` and ``im`` alike, over the same
+``den``.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -198,6 +200,13 @@ class HermitianBiform:
 
     ``matrix[i][j]`` is the coefficient of z^basis[i] * conj(z)^basis[j],
     with the basis fixed by :func:`macaulay.poly.monomials_of_degree`.
+
+    Storage is ``den``, ``re`` and ``im``: the matrix is (re + i*im) / den,
+    ``re`` and ``im`` are tuples of int rows, ``im`` is None for a real
+    form, and ``den`` is the least positive common denominator of all the
+    real and imaginary parts.  So equal forms store equal ints, and ``==``
+    compares them.  ``matrix`` builds the Gaussian-rational rows from them
+    on each read.
     """
 
     __slots__ = ("n_vars", "half_degree", "den", "re", "im")

@@ -189,8 +189,10 @@ class CorpusSpec:
         for lo, hi in (self.n_vars, self.gens, self.degrees):
             if lo > hi or lo < 1:
                 raise ValueError(f"bad range ({lo},{hi})")
-        if self.draws < 1 or self.d_max < 1:
-            raise ValueError("draws and d_max must be >= 1")
+        if self.draws < 1:
+            raise ValueError("draws must be >= 1")
+        if self.d_max < 2:
+            raise ValueError(f"d_max must be >= 2 to check any degree, got {self.d_max}")
         for kind in self.kinds:
             if kind not in ("monomial", "dense"):
                 raise ValueError(f"unknown ideal kind {kind!r}")
@@ -388,9 +390,10 @@ def sos_witness(form: HermitianBiform) -> Optional[list[HomogPoly]]:
     """Holomorphic polynomials h_k with sum |h_k|^2 == form, exactly, or
     None when the form is not positive semidefinite.
 
-    Positive peel weights are flattened to unit weights by writing each
-    weight as a sum of four rational squares and pairing the squares into
-    at most two Gaussian-rational multipliers per peeled polynomial."""
+    The positive weights of :func:`decompose` are flattened to unit
+    weights by writing each weight as a sum of four rational squares and
+    pairing the squares into at most two Gaussian-rational multipliers per
+    square-term polynomial."""
     terms = decompose(form)
     if any(t.weight < 0 for t in terms):
         return None

@@ -480,8 +480,8 @@ def verify_macaulay(ideal: GradedIdeal, d_max: int, mode: str = "exact") -> list
     Every row must come back all-True for every homogeneous ideal; a False
     anywhere means the implementation (not the mathematics) is broken.
     """
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
+    if d_max < 2:
+        raise ValueError(f"d_max must be >= 2 to check any degree, got {d_max}")
     if ideal.n_vars < 2:
         raise ValueError("growth bounds need at least 2 variables")
     records = [hilbert_record(ideal, d, mode=mode) for d in range(1, d_max + 1)]

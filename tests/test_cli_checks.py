@@ -7,7 +7,7 @@ import pytest
 
 from macaulay import hermitian, poly
 from macaulay.cli import main
-from macaulay.hermitian import biform_from_terms, format_biform, zero_biform
+from macaulay.hermitian import GaussianRational, biform_from_terms, format_biform, zero_biform
 from macaulay.poly import RANK_PRIMES, GradedIdeal, format_ideal, graded_piece_dim, variable
 
 Z1 = GradedIdeal(2, (variable(0, 2),))
@@ -33,12 +33,23 @@ def test_modular_checked_raises_when_no_prime_agrees(capsys, monkeypatch, z1_fil
     for d in range(4):
         with pytest.raises(ArithmeticError):
             graded_piece_dim(Z1, d, mode="modular-checked")
-    with pytest.raises(ArithmeticError):
-        main(["hilbert", z1_file, "--d-max", "3", "--mode", "modular-checked"])
+    assert main(["hilbert", z1_file, "--d-max", "3", "--mode", "modular-checked"]) == 3
     assert capsys.readouterr().out == ""
     # the exact mode never reads a modular rank
     assert [graded_piece_dim(Z1, d) for d in range(4)] == exact
     assert hilbert_table(capsys, z1_file, "--d-max", "3") == exact
+
+
+def test_internal_fault_exits_3(capsys, monkeypatch, tmp_path):
+    i = GaussianRational(0, 1)
+    path = tmp_path / "b.json"
+    path.write_text(format_biform(biform_from_terms(2, 1, [((1, 0), (0, 1), i), ((0, 1), (1, 0), -i)])))
+    # a Gaussian rank comes from the real embedding, whose rank must be even
+    monkeypatch.setattr(poly, "_echelon_rank", lambda rows: 1)
+    assert main(["hermitian", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: real embedding has odd rank 1\n"
 
 
 def test_modular_checked_needs_one_agreeing_prime(capsys, monkeypatch, z1_file):

@@ -203,6 +203,41 @@ def test_multiply_signed_norm_matches_termwise_oracle():
             assert biform_from_terms(n, form.half_degree + 1, term_products) == fast
 
 
+def _gaussian_instances(shapes, seed):
+    """For each (n, d), the first random_hermitian_instance from ``seed`` on
+    with a non-real entry and a non-integer real part."""
+    for n, d in shapes:
+        while True:
+            form = random_hermitian_instance(n, d, seed=seed)
+            entries = [v for row in form.matrix for v in row]
+            seed += 1
+            if any(v.im for v in entries) and any(Fraction(v.re).denominator > 1 for v in entries):
+                yield form
+                break
+
+
+def _signed_norm_product_by_terms(form, s):
+    """form * (|z_1|^2 + ... + |z_s|^2 - ... - |z_n|^2), one term at a time:
+    each term c * z^alpha * conj(z)^beta and each j add +-c at
+    (alpha + e_j, beta + e_j)."""
+    n = form.n_vars
+    terms = []
+    for alpha, beta, c in biform_terms(form):
+        for j in range(n):
+            e_j = tuple(int(k == j) for k in range(n))
+            up_alpha = tuple(a + e for a, e in zip(alpha, e_j))
+            up_beta = tuple(b + e for b, e in zip(beta, e_j))
+            terms.append((up_alpha, up_beta, c if j < s else -c))
+    return biform_from_terms(n, form.half_degree + 1, terms)
+
+
+def test_multiply_signed_norm_matches_term_expansion():
+    for form in _gaussian_instances([(n, d) for d in (1, 2) for n in (2, 3, 4)], seed=7):
+        n = form.n_vars
+        for s in range(n + 1):
+            assert multiply_signed_norm(form, (s, n - s)) == _signed_norm_product_by_terms(form, s)
+
+
 def test_multiply_signed_norm_worked_values():
     b = biform_from_terms(2, 1, [((1, 0), (1, 0), 1)])
     assert biform_rank(multiply_signed_norm(b, SignedNorm(2, 0))) == 2
@@ -230,6 +265,22 @@ def test_divide_norm_power_round_trip():
         for power in (1, 2):
             product = multiply_norm_power(form, power)
             assert divide_norm_power(product, power) == form
+
+
+def test_divide_norm_power_round_trips_gaussian_forms_with_denominators():
+    for form in _gaussian_instances([(2, 1), (3, 1), (2, 2), (3, 2)], seed=3):
+        for power in (1, 2):
+            assert divide_norm_power(multiply_norm_power(form, power), power) == form
+
+
+def test_divide_norm_power_refuses_a_perturbed_conjugate_pair():
+    product = multiply_norm_power(next(_gaussian_instances([(3, 1)], seed=77)), 1)
+    assert divide_norm_power(product, 1) is not None
+    for r, c in ((0, 1), (product.dim - 2, product.dim - 1)):
+        rows = [list(row) for row in product.matrix]
+        rows[r][c] += gauss(Fraction(1, 3), -1)
+        rows[c][r] += gauss(Fraction(1, 3), 1)
+        assert divide_norm_power(HermitianBiform(3, 2, rows), 1) is None
 
 
 def test_divide_norm_power_detects_non_divisible():
@@ -411,6 +462,78 @@ def test_biform_serialization_round_trip():
     again = parse_biform(text)
     assert again == form
     assert format_biform(again) == text
+
+
+def test_biform_representation_round_trips():
+    for form in _gaussian_instances([(2, 1), (3, 1), (2, 2), (3, 2)], seed=2):
+        assert HermitianBiform(form.n_vars, form.half_degree, form.matrix) == form
+        assert parse_biform(format_biform(form)) == form
+
+
+def test_equal_forms_store_equal_ints():
+    form = HermitianBiform(2, 1, [[Fraction(1, 2), 0], [0, Fraction(3, 2)]])
+    assert (form.den, form.re, form.im) == (2, ((1, 0), (0, 3)), None)
+    assert HermitianBiform._from_ints(2, 1, 4, [[2, 0], [0, 6]], [[0, 0], [0, 0]]) == form
+    assert zero_biform(2, 1).den == 1
+
+
+# format_biform of the form below, as written before forms were stored as
+# integer matrices; the file format must not change with the storage.
+FIXED_FORM_TEXT = """{
+  "n_vars": 2,
+  "d": 1,
+  "terms": [
+    {
+      "alpha": [
+        1,
+        0
+      ],
+      "beta": [
+        1,
+        0
+      ],
+      "coeff": {
+        "re": "1/2",
+        "im": "0"
+      }
+    },
+    {
+      "alpha": [
+        1,
+        0
+      ],
+      "beta": [
+        0,
+        1
+      ],
+      "coeff": {
+        "re": "2/3",
+        "im": "-5/4"
+      }
+    },
+    {
+      "alpha": [
+        0,
+        1
+      ],
+      "beta": [
+        0,
+        1
+      ],
+      "coeff": {
+        "re": "-3",
+        "im": "0"
+      }
+    }
+  ]
+}"""
+
+
+def test_format_biform_bytes_are_stable():
+    c = gauss(Fraction(2, 3), Fraction(-5, 4))
+    form = HermitianBiform(2, 1, [[Fraction(1, 2), c], [c.conjugate(), -3]])
+    assert format_biform(form) == FIXED_FORM_TEXT
+    assert parse_biform(FIXED_FORM_TEXT) == form
 
 
 def test_parse_biform_hermitian_completion():

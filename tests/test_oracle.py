@@ -105,6 +105,13 @@ def test_corpus_spec_validation():
         CorpusSpec(n_vars=(2, 2), gens=(1, 1), degrees=(1, 1), d_max=2, seed=0, kinds=("weird",))
 
 
+def test_corpus_spec_refuses_an_empty_check():
+    assert CorpusSpec(n_vars=(2, 2), gens=(1, 1), degrees=(1, 1), d_max=2, seed=0).d_max == 2
+    for d_max in (1, 0):
+        with pytest.raises(ValueError, match="d_max must be >= 2"):
+            CorpusSpec(n_vars=(2, 2), gens=(1, 1), degrees=(1, 1), d_max=d_max, seed=0)
+
+
 def test_exhaustive_monomial_corpus_counts():
     corpus = exhaustive_monomial_corpus()
     # pools: 3 monomials for n=1, 9 for n=2, 19 for n=3

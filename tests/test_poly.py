@@ -149,6 +149,14 @@ def test_verify_macaulay_rejects_one_variable():
         verify_macaulay(GradedIdeal(1, (variable(0, 1),)), 4)
 
 
+def test_verify_macaulay_refuses_an_empty_check():
+    ideal = GradedIdeal(2, (variable(0, 2),))
+    assert len(verify_macaulay(ideal, 2)) == 1
+    for d_max in (1, 0):
+        with pytest.raises(ValueError, match="d_max must be >= 2"):
+            verify_macaulay(ideal, d_max)
+
+
 def test_bridge_identity_worked_values():
     assert bridge_identity_check(2, 1)
     assert bridge_identity_check(3, 2)
