@@ -225,8 +225,9 @@ class HermitianBiform:
                         f"{coerced[i][j]} vs conj({coerced[j][i]})"
                     )
         den = math.lcm(*(v.denominator for row in coerced for z in row for v in (z.re, z.im)))
-        re = [[int(z.re * den) for z in row] for row in coerced]
-        self._store(n_vars, half_degree, den, re, [[int(z.im * den) for z in row] for row in coerced])
+        re = [[z.re.numerator * (den // z.re.denominator) for z in row] for row in coerced]
+        im = [[z.im.numerator * (den // z.im.denominator) for z in row] for row in coerced]
+        self._store(n_vars, half_degree, den, re, im)
 
     @classmethod
     def _from_ints(cls, n_vars: int, half_degree: int, den: int, re, im) -> "HermitianBiform":
@@ -246,9 +247,9 @@ class HermitianBiform:
     @property
     def matrix(self) -> tuple[tuple[GaussianRational, ...], ...]:
         """The Gaussian-rational entries, built from (den, re, im) on each read."""
-        den, im = self.den, self.im or ((0,) * self.dim,) * self.dim
-        return tuple(tuple(GaussianRational(Fraction(a, den), Fraction(b, den)) for a, b in zip(ra, ia))
-                     for ra, ia in zip(self.re, im))
+        im = self.im or ((0,) * self.dim,) * self.dim
+        part = int if self.den == 1 else lambda v: Fraction(v, self.den)
+        return tuple(tuple(GaussianRational(part(a), part(b)) for a, b in zip(ra, ia)) for ra, ia in zip(self.re, im))
 
     @property
     def basis(self) -> tuple[Monomial, ...]:
@@ -527,8 +528,9 @@ def divide_norm_power(form: HermitianBiform, power: int) -> Optional[HermitianBi
     One division step solves F[A][B] = sum_j M[A-e_j][B-e_j] for M row by
     row: with A = alpha + e_1 and B = beta + e_1, F[A][B] is M[alpha][beta]
     plus entries in the rows A - e_j (j > 1), which come before alpha in
-    the basis order (their reversed exponents are smaller at position j).
-    It then certifies the candidate by multiplying back.
+    the basis order (they agree with alpha in the exponents of z_n down to
+    z_(j+1) and have a smaller exponent of z_j).  It then certifies the
+    candidate by multiplying back.
     """
     if power < 0:
         raise ValueError("power must be nonnegative")
