@@ -477,8 +477,8 @@ def test_equal_forms_store_equal_ints():
     assert zero_biform(2, 1).den == 1
 
 
-# format_biform of the form below, as written before forms were stored as
-# integer matrices; the file format must not change with the storage.
+# The bytes format_biform writes for the form below.  The file format is a
+# contract, so they must not change with the in-memory storage.
 FIXED_FORM_TEXT = """{
   "n_vars": 2,
   "d": 1,
