@@ -38,13 +38,6 @@ from .poly import (
 )
 
 
-def _exact_div_scalar(x, y):
-    """x / y staying exact: never the float path of int / int."""
-    if isinstance(x, Fraction) or isinstance(y, Fraction):
-        return x / y
-    return Fraction(x, y)
-
-
 class GaussianRational:
     """An exact complex number with rational real and imaginary parts.
 
@@ -130,8 +123,8 @@ class GaussianRational:
             raise ZeroDivisionError("division by zero Gaussian rational")
         conj = other.conjugate()
         return GaussianRational(
-            _exact_div_scalar(self.re * conj.re - self.im * conj.im, n),
-            _exact_div_scalar(self.re * conj.im + self.im * conj.re, n),
+            Fraction(self.re * conj.re - self.im * conj.im, n),
+            Fraction(self.re * conj.im + self.im * conj.re, n),
         )
 
     def __rtruediv__(self, other):
@@ -216,17 +209,17 @@ class HermitianBiform:
         dim = len(basis)
         if len(matrix) != dim or any(len(row) != dim for row in matrix):
             raise ValueError(f"matrix must be {dim}x{dim} for n={n_vars}, d={half_degree}")
-        coerced = tuple(tuple(GaussianRational.of(v) for v in row) for row in matrix)
+        coerced = [[GaussianRational.of(v) for v in row] for row in matrix]
+        den = math.lcm(*(v.denominator for row in coerced for z in row for v in (z.re, z.im)))
+        re = [[z.re.numerator * (den // z.re.denominator) for z in row] for row in coerced]
+        im = [[z.im.numerator * (den // z.im.denominator) for z in row] for row in coerced]
         for i in range(dim):
             for j in range(i, dim):
-                if coerced[i][j] != coerced[j][i].conjugate():
+                if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
                     raise ValueError(
                         f"matrix is not Hermitian at ({i},{j}): "
                         f"{coerced[i][j]} vs conj({coerced[j][i]})"
                     )
-        den = math.lcm(*(v.denominator for row in coerced for z in row for v in (z.re, z.im)))
-        re = [[z.re.numerator * (den // z.re.denominator) for z in row] for row in coerced]
-        im = [[z.im.numerator * (den // z.im.denominator) for z in row] for row in coerced]
         self._store(n_vars, half_degree, den, re, im)
 
     @classmethod
@@ -313,17 +306,16 @@ def recompose_squares(
 ) -> HermitianBiform:
     """Sum of ``weight * |poly|^2`` as a biform; the exact inverse of
     :func:`decompose`."""
-    index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d))}
-    dim = len(index)
-    rows = [[GaussianRational() for _ in range(dim)] for _ in range(dim)]
-    for weight, p in weighted:
-        if p.n_vars != n_vars or p.degree != d:
-            raise ValueError("square term has wrong variables or degree")
-        vec = [(index[m], GaussianRational.of(c)) for m, c in p.terms.items()]
-        for i, ci in vec:
-            for j, cj in vec:
-                rows[i][j] += weight * ci * cj.conjugate()
-    return HermitianBiform(n_vars, d, rows)
+    weighted = list(weighted)
+    # checked here: a zero polynomial adds no term that could fail the check
+    if any(p.n_vars != n_vars or p.degree != d for _, p in weighted):
+        raise ValueError("square term has wrong variables or degree")
+    return biform_from_terms(n_vars, d, (
+        (alpha, beta, weight * ca * cb.conjugate())
+        for weight, p in weighted
+        for alpha, ca in p.terms.items()
+        for beta, cb in p.terms.items()
+    ))
 
 
 def biform_from_squares(
@@ -773,8 +765,7 @@ def parse_biform(text: str) -> HermitianBiform:
         coeff = GaussianRational(_json_rational(coeff["re"], "re"), _json_rational(coeff["im"], "im"))
         key = (alpha, beta)
         entries[key] = entries.get(key, GaussianRational()) + coeff
-    completed = dict(entries)
-    for (alpha, beta), coeff in entries.items():
-        if alpha != beta and (beta, alpha) not in entries:
-            completed[(beta, alpha)] = coeff.conjugate()
-    return biform_from_terms(n_vars, d, [(a, b, c) for (a, b), c in completed.items()])
+    for (alpha, beta), coeff in list(entries.items()):
+        if (beta, alpha) not in entries:
+            entries[(beta, alpha)] = coeff.conjugate()
+    return biform_from_terms(n_vars, d, [(a, b, c) for (a, b), c in entries.items()])

@@ -16,7 +16,6 @@ coefficients (see :mod:`macaulay.hermitian`) work unchanged.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -259,20 +258,13 @@ def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, int
         scaled.append((re, im))
         gaussian = gaussian or bool(im)
 
+    if not gaussian:
+        return [re for re, _ in scaled], False
     out: list[dict[int, int]] = []
-    seen: set = set()
     for re, im in scaled:
-        if gaussian:
-            embedded = ({**{2 * c: v for c, v in re.items()}, **{2 * c + 1: -v for c, v in im.items()}},
-                        {**{2 * c: v for c, v in im.items()}, **{2 * c + 1: v for c, v in re.items()}})
-        else:
-            embedded = (re,)
-        for row in embedded:
-            key = frozenset(row.items())
-            if key not in seen:
-                seen.add(key)
-                out.append(row)
-    return out, gaussian
+        out.append({**{2 * c: v for c, v in re.items()}, **{2 * c + 1: -v for c, v in im.items()}})
+        out.append({**{2 * c: v for c, v in im.items()}, **{2 * c + 1: v for c, v in re.items()}})
+    return out, True
 
 
 def _echelon_rank(rows: list[dict[int, int]]) -> int:
@@ -289,12 +281,11 @@ def _echelon_rank(rows: list[dict[int, int]]) -> int:
     buckets: dict[int, list[dict[int, int]]] = {}
     for row in rows:
         buckets.setdefault(min(row), []).append(row)
-    leads = list(buckets)
-    heapq.heapify(leads)
     rank = 0
-    while leads:
-        pcol = heapq.heappop(leads)
-        bucket = buckets.pop(pcol)
+    for pcol in sorted(set().union(*rows)):
+        bucket = buckets.pop(pcol, None)
+        if bucket is None:
+            continue
         rank += 1
         if len(bucket) == 1:
             continue
@@ -319,13 +310,7 @@ def _echelon_rank(rows: list[dict[int, int]]) -> int:
             content = math.gcd(*new.values())
             if content != 1:
                 new = {c: v // content for c, v in new.items()}
-            lead = min(new)
-            target = buckets.get(lead)
-            if target is None:
-                buckets[lead] = [new]
-                heapq.heappush(leads, lead)
-            else:
-                target.append(new)
+            buckets.setdefault(min(new), []).append(new)
     return rank
 
 
