@@ -41,9 +41,10 @@ from .poly import (
 class GaussianRational:
     """An exact complex number with rational real and imaginary parts.
 
-    Parts are stored as int when they arrive as int (the common case in
-    elimination, where Fraction normalization would dominate the runtime)
-    and as Fraction otherwise; all arithmetic is exact either way.
+    Parts are stored as int when they arrive as int and as Fraction
+    otherwise; all arithmetic is exact either way.  No elimination
+    computes in this class: ``exact_rank`` reads only the ``re`` and ``im``
+    parts of its entries, and the biform kernels run on integer matrices.
     """
 
     __slots__ = ("re", "im")
@@ -305,7 +306,13 @@ def recompose_squares(
     n_vars: int, d: int, weighted: Iterable[tuple[object, HomogPoly]]
 ) -> HermitianBiform:
     """Sum of ``weight * |poly|^2`` as a biform; the exact inverse of
-    :func:`decompose`."""
+    :func:`decompose`.
+
+    Each square adds the terms (alpha, beta, weight * c_alpha *
+    conj(c_beta)) over every pair of its monomials, and
+    :func:`biform_from_terms` sums them.  Raises if a polynomial, zero or
+    not, has the wrong variable count or degree.
+    """
     weighted = list(weighted)
     # checked here: a zero polynomial adds no term that could fail the check
     if any(p.n_vars != n_vars or p.degree != d for _, p in weighted):

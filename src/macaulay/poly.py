@@ -228,7 +228,8 @@ def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, int
     the real embedding of Gaussian rows.
 
     Each row is scaled by the lcm of its denominators and divided by the
-    gcd of the results; zero and duplicate rows are dropped.  If any entry
+    gcd of the results; zero rows are dropped, duplicates are kept (they
+    reduce to zero in elimination).  If any entry
     has a nonzero imaginary part, every row ``a + ib`` becomes the two rows
     ``[a, -b]`` and ``[b, a]`` of the real embedding (column c of the two
     blocks is interleaved as 2c and 2c + 1), whose rank is twice the rank
@@ -270,13 +271,17 @@ def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, int
 def _echelon_rank(rows: list[dict[int, int]]) -> int:
     """Rank of nonzero integer rows; the rows are consumed.
 
-    Rows are bucketed by leading column.  Each step takes the smallest
-    leading column as the pivot column and the shortest row leading there
-    as the pivot row; since no row has an earlier entry, the other rows of
-    that bucket are exactly the rows that hold the pivot column.  Each one
-    becomes ``(p/g)*row - (f/g)*prow`` with ``g = gcd(p, f)``, divided by
-    its content, and moves to the bucket of its new leading column.  Every
-    other row is left as it is.
+    Rows are bucketed by leading column, and the columns of the input are
+    swept once in ascending order.  At a column with a nonempty bucket the
+    shortest row there is the pivot row; since no row has an earlier entry,
+    the other rows of that bucket are exactly the rows that hold the pivot
+    column.  Each one becomes ``(p/g)*row - (f/g)*prow`` with
+    ``g = gcd(p, f)``, divided by its content, and moves to the bucket of
+    its new leading column.  Every other row is left as it is.
+
+    One sweep suffices because leads only grow: an updated row has lost
+    the pivot column and had no earlier entry, so its new lead lies after
+    the pivot column, in a bucket the sweep has yet to reach.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
     for row in rows:
