@@ -85,6 +85,10 @@ def cmd_shift(a: int, n: int, s: int, t: int) -> Report:
 
 
 def cmd_lemma_scan(m_max: int, d_max: int, s_max: int) -> Report:
+    if min(m_max, d_max, s_max) < 1:
+        raise ValueError(
+            f"--m-max, --d-max and --s-max must be >= 1 to check any split, got {m_max}, {d_max}, {s_max}"
+        )
     failures = binom.scan_split_shift_identity(m_max, d_max, s_max)
     splits = sum(
         math.comb(m + d, d) + 1
@@ -143,6 +147,8 @@ def cmd_verify(path: str, d_max: int, mode: str) -> Report:
 
 
 def cmd_bridge(n_max: int, d_max: int) -> Report:
+    if n_max < 2 or d_max < 1:
+        raise ValueError(f"need n_max >= 2 and d_max >= 1 to check any pair, got {n_max}, {d_max}")
     failures = [
         [n, d]
         for n in range(2, n_max + 1)
@@ -224,6 +230,8 @@ def cmd_hermitian(path: str, s: int | None, t: int | None, l: int) -> Report:
 
 
 def cmd_min_sos(path: str, l_max: int) -> Report:
+    if l_max < 1:
+        raise ValueError(f"--l-max must be >= 1, got {l_max}")
     form = hermitian.parse_biform(Path(path).read_text())
     found = None if form.is_zero() else hermitian.find_min_sos_exponent(form, l_max)
     return Report(

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from macaulay import hermitian, poly
+from macaulay import binom, hermitian, poly
 from macaulay.cli import main
 from macaulay.hermitian import GaussianRational, biform_from_terms, format_biform, zero_biform
 from macaulay.poly import RANK_PRIMES, GradedIdeal, format_ideal, graded_piece_dim, variable
@@ -113,3 +113,46 @@ def test_hermitian_validates_before_any_elimination(capsys, monkeypatch, tmp_pat
     assert main(["hermitian", str(path), *argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["bridge", "1", "5"],
+    ["bridge", "5", "0"],
+    ["lemma-scan", "--m-max", "0"],
+    ["lemma-scan", "--s-max", "0"],
+    ["lemma-scan", "--d-max", "-3"],
+    ["min-sos", "{f}", "--l-max", "0"],
+])
+def test_no_scan_verdict_over_an_empty_range(capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "zero.json"
+    path.write_text(format_biform(zero_biform(2, 1)))
+    for module, name in ((poly, "bridge_identity_check"), (binom, "scan_split_shift_identity"),
+                         (hermitian, "parse_biform")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    assert main([a.format(f=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_smallest_scan_ranges_that_check_something(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(format_biform(zero_biform(2, 1)))
+    for argv, verdict in (
+        (["bridge", "2", "1"], "identity"),
+        (["lemma-scan", "--m-max", "1", "--d-max", "1", "--s-max", "1"], "identity"),
+        (["min-sos", str(path), "--l-max", "1"], "search"),
+    ):
+        assert main(["--format", "structured", *argv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdicts"][verdict] in ("ok", "not-applicable")
+
+
+@pytest.mark.parametrize("argv", [["--s", "1"], ["--t", "1"]])
+def test_hermitian_needs_both_s_and_t(capsys, tmp_path, argv):
+    path = tmp_path / "b.json"
+    path.write_text(format_biform(biform_from_terms(2, 1, [((1, 0), (1, 0), 1)])))
+    assert main(["hermitian", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give both --s and --t, or neither\n"
