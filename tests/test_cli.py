@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line interface and its report format."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from macaulay import hermitian
 from macaulay.cli import Report, main
-from macaulay.hermitian import biform_from_terms, format_biform, zero_biform
+from macaulay.hermitian import GaussianRational, HermitianBiform, biform_from_terms, format_biform, zero_biform
 from macaulay.poly import GradedIdeal, format_ideal, variable
 
 
@@ -170,6 +171,28 @@ def test_hermitian_command_builds_the_euclidean_product_once(capsys, monkeypatch
         assert doc["outputs"]["product_rank"] == product_rank
         assert doc["outputs"]["norm_power_rank"] == power_sig[l].rank
         assert doc["outputs"]["norm_power_is_sum_of_squares"] is (power_sig[l].q == 0)
+
+
+C = GaussianRational(Fraction(2, 3), Fraction(-5, 4))
+GAUSSIAN_FORMS = {  # |C|^2 = 289/144 < 2 * 3/2, so the first form is positive definite
+    "psd": HermitianBiform(2, 1, [[2, C], [C.conjugate(), Fraction(3, 2)]]),
+    "indefinite": HermitianBiform(2, 1, [[Fraction(1, 2), C], [C.conjugate(), -3]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUSSIAN_FORMS))
+@pytest.mark.parametrize("s, t", [(1, 1), (0, 2)])
+@pytest.mark.parametrize("l", [1, 2])
+def test_hermitian_command_with_a_signed_norm(capsys, tmp_path, name, s, t, l):
+    form = GAUSSIAN_FORMS[name]
+    path = tmp_path / "b.json"
+    path.write_text(format_biform(form))
+    code, doc = run_structured(capsys, "hermitian", str(path), "--s", str(s), "--t", str(t), "--l", str(l))
+    assert code == 0
+    power_sig = hermitian.biform_signature(hermitian.multiply_norm_power(form, l))
+    assert doc["outputs"]["product_rank"] == hermitian.biform_rank(hermitian.multiply_signed_norm(form, (s, t)))
+    assert doc["outputs"]["norm_power_rank"] == power_sig.rank
+    assert doc["outputs"]["norm_power_is_sum_of_squares"] is (power_sig.q == 0) is (name == "psd")
 
 
 def test_min_sos_command(capsys, tmp_path):

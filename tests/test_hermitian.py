@@ -89,6 +89,26 @@ def test_biform_from_terms_rejects_bad_input():
         biform_from_terms(2, 1, [((1, 0), (1, 0), i)])  # imaginary diagonal
 
 
+def test_construction_guards():
+    for wrong in (HomogPoly.zero(2, 2), HomogPoly.zero(3, 1)):
+        with pytest.raises(ValueError, match="square term has wrong variables or degree"):
+            recompose_squares(2, 1, [(1, wrong)])
+    with pytest.raises(ValueError, match="^matrix must be 2x2 for n=2, d=1$"):
+        HermitianBiform(2, 1, [[1]])
+    with pytest.raises(ValueError) as exc:
+        biform_from_terms(2, 1, [((1, 0), (0, 1), 1)])
+    assert str(exc.value) == "matrix is not Hermitian at (0,1): 1 vs conj(0)"
+    assert divide_norm_power(biform_from_terms(2, 0, [((0, 0), (0, 0), 1)]), 1) is None
+
+
+def test_recompose_squares_takes_a_generator():
+    p = HomogPoly(2, 1, {(1, 0): gauss(1, 2), (0, 1): Fraction(1, 3)})
+    q = HomogPoly(2, 1, {(0, 1): gauss(0, -1)})
+    weighted = [(Fraction(2), p), (Fraction(-1), q)]
+    assert recompose_squares(2, 1, iter(weighted)) == recompose_squares(2, 1, weighted)
+    assert biform_signature(recompose_squares(2, 1, weighted)) == (1, 1)
+
+
 def test_biform_rank_worked_values():
     assert biform_rank(zero_biform(2, 1)) == 0
     diag = biform_from_terms(2, 1, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), -1)])
