@@ -228,12 +228,11 @@ def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, int
     the real embedding of Gaussian rows.
 
     Each row is scaled by the lcm of its denominators and divided by the
-    gcd of the results; zero rows are dropped, duplicates are kept (they
-    reduce to zero in elimination).  If any entry
-    has a nonzero imaginary part, every row ``a + ib`` becomes the two rows
-    ``[a, -b]`` and ``[b, a]`` of the real embedding (column c of the two
-    blocks is interleaved as 2c and 2c + 1), whose rank is twice the rank
-    over Q(i).
+    gcd of the results.  Zero rows are dropped; duplicate rows are kept,
+    since elimination reduces them to zero.  If any entry has a nonzero
+    imaginary part, every row ``a + ib`` becomes the two rows ``[a, -b]``
+    and ``[b, a]`` of the real embedding (column c of the two blocks is
+    interleaved as 2c and 2c + 1), whose rank is twice the rank over Q(i).
     """
     scaled = []
     gaussian = False
