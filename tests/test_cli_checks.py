@@ -100,6 +100,8 @@ BAD_SIGNED_NORMS = [
     (biform_from_terms(2, 1, [((1, 0), (1, 0), 1)]), ["--s", "1", "--t", "0"]),
     (biform_from_terms(2, 1, [((1, 0), (1, 0), 1)]), ["--s", "2", "--t", "1"]),
     (zero_biform(2, 1), ["--s", "3", "--t", "-1"]),
+    (biform_from_terms(2, 1, [((1, 0), (1, 0), 1)]), ["--s", "1"]),
+    (biform_from_terms(2, 1, [((1, 0), (1, 0), 1)]), ["--t", "1"]),
 ]
 
 
@@ -147,12 +149,3 @@ def test_smallest_scan_ranges_that_check_something(capsys, tmp_path):
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdicts"][verdict] in ("ok", "not-applicable")
 
-
-@pytest.mark.parametrize("argv", [["--s", "1"], ["--t", "1"]])
-def test_hermitian_needs_both_s_and_t(capsys, tmp_path, argv):
-    path = tmp_path / "b.json"
-    path.write_text(format_biform(biform_from_terms(2, 1, [((1, 0), (1, 0), 1)])))
-    assert main(["hermitian", str(path), *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: give both --s and --t, or neither\n"
