@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .binom import shift_apply
 
@@ -388,47 +388,80 @@ RANK_PRIMES = (2291050459, 4115409913, 3431386421)
 # Graded pieces and Hilbert functions
 # ---------------------------------------------------------------------------
 
-def _graded_piece_rows(ideal: GradedIdeal, d: int) -> list[dict[int, object]]:
-    """Sparse rows spanning I_d: every monomial multiple m*g with
-    deg m + deg g = d, in the monomials_of_degree column basis.
-    Generators of degree > d contribute nothing."""
+def _graded_piece_rows(ideal: GradedIdeal, d: int) -> tuple[list[dict[int, object]], Iterator[dict[int, object]]]:
+    """Sparse rows spanning I_d, in the monomials_of_degree column basis:
+    the kept monomial multiples m*g_j with deg m + deg g_j = d, and a lazy
+    iterator over the skipped ones.  Generators of degree > d contribute
+    nothing.
+
+    The row m*g_j is skipped when the leading monomial LM(g_i) of an
+    earlier generator (i < j) divides m; LM is the grevlex-largest term,
+    the first in monomials_of_degree order.  This is Buchberger's product
+    criterion: the trivial syzygy g_i*g_j - g_j*g_i makes the row
+    redundant.  Proof that the kept rows span I_d, by induction on j and,
+    within g_j, on m in grevlex order: write m = m'*LM(g_i) and
+    g_i = c*LM(g_i) + sum of c_s*s over smaller monomials s.  Then
+
+        m'*g_i*g_j = c*(m*g_j) + sum of c_s*(m'*s)*g_j.
+
+    The left side is sum of c_t*(m'*t)*g_i over the terms t of g_j, a
+    combination of rows of g_i, which lie in the span of the kept rows
+    since i < j.  Each m'*s is smaller than m, since grevlex is a monomial
+    order, so (m'*s)*g_j lies in that span too.  As c != 0, so does m*g_j.
+    """
     col_index = {m: i for i, m in enumerate(monomials_of_degree(ideal.n_vars, d))}
-    rows = []
+
+    def row(g: HomogPoly, mult: Monomial) -> dict[int, object]:
+        return {col_index[tuple(a + b for a, b in zip(mono, mult))]: c for mono, c in g.terms.items()}
+
+    kept: list[dict[int, object]] = []
+    skipped: list[tuple[HomogPoly, Monomial]] = []
+    leads: list[Monomial] = []
     for g in ideal.generators:
-        if g.degree > d:
-            continue
-        for mult in monomials_of_degree(ideal.n_vars, d - g.degree):
-            row = {}
-            for mono, coeff in g.terms.items():
-                shifted = tuple(a + b for a, b in zip(mono, mult))
-                row[col_index[shifted]] = coeff
-            rows.append(row)
-    return rows
+        e = d - g.degree
+        if e >= 0:
+            skip = {
+                tuple(a + b for a, b in zip(lead, m))
+                for lead in leads if sum(lead) <= e
+                for m in monomials_of_degree(ideal.n_vars, e - sum(lead))
+            }
+            for mult in monomials_of_degree(ideal.n_vars, e):
+                if mult in skip:
+                    skipped.append((g, mult))
+                else:
+                    kept.append(row(g, mult))
+        leads.append(min(g.terms, key=lambda m: m[::-1]))
+    return kept, (row(g, mult) for g, mult in skipped)
 
 
 def graded_piece_dim(ideal: GradedIdeal, d: int, mode: str = "exact") -> int:
     """dim I_d, the Hilbert function of the ideal at degree d.
 
     The degree-d piece of an ideal with homogeneous generators g_i is
-    spanned by the products m * g_i over monomials m of degree d - deg g_i,
-    so its dimension is the rank of that product matrix; no syzygy or basis
-    computation is needed for a single graded piece.
+    spanned by the products m * g_i over monomials m of degree d - deg g_i.
+    Its dimension is the rank of the rows of that product matrix that
+    Buchberger's product criterion keeps (see ``_graded_piece_rows``); no
+    basis computation is needed for a single graded piece.
 
-    Both modes return ``exact_rank``.  mode="modular-checked" also checks
-    it against a different elimination, ``rank_mod_prime``, over the
-    primes of ``RANK_PRIMES``: at least one must give the same rank, or the
-    call raises ``ArithmeticError``.  A modular rank falls short only when
-    the prime divides every maximal nonzero minor of the integer rows, so a
-    mismatch at all three primes points at a bug; it is never answered.
+    Both modes return ``exact_rank`` of the kept rows.  mode="modular-checked"
+    also checks it against a different elimination, ``rank_mod_prime``, of
+    the full, unpruned matrix over the primes of ``RANK_PRIMES``: at least
+    one must give the same rank, or the call raises ``ArithmeticError``.  A
+    modular rank falls short only when the prime divides every maximal
+    nonzero minor of the integer rows, so a mismatch at all three primes
+    points at a bug, in the elimination or in the pruning; it is never
+    answered.
     """
     if mode not in ("exact", "modular-checked"):
         raise ValueError(f"unknown mode {mode!r}")
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    rows = _graded_piece_rows(ideal, d)
-    rank = exact_rank(rows)
-    if mode == "modular-checked" and all(rank_mod_prime(rows, p) != rank for p in RANK_PRIMES):
-        raise ArithmeticError(f"exact rank {rank} of I_{d} matches no modular rank over {RANK_PRIMES}")
+    kept, skipped = _graded_piece_rows(ideal, d)
+    rank = exact_rank(kept)
+    if mode == "modular-checked":
+        rows = kept + list(skipped)
+        if all(rank_mod_prime(rows, p) != rank for p in RANK_PRIMES):
+            raise ArithmeticError(f"exact rank {rank} of I_{d} matches no modular rank over {RANK_PRIMES}")
     return rank
 
 
