@@ -2,11 +2,13 @@
 
 A monomial is an exponent tuple, a polynomial is a dict from exponent
 tuples to nonzero exact coefficients, and the degree-d piece of an ideal
-is the row space of the matrix of all monomial multiples of its
-generators.  Dimensions come out of exact integer elimination on
+is the row space of the matrix of the monomial multiples of its
+generators, less the rows that Buchberger's product criterion proves
+redundant.  Dimensions come out of exact integer elimination on
 primitive rows (Gaussian rows through their real embedding), so every
 Hilbert function value is exact; an optional mode checks each rank
-against a modular elimination over three fixed large primes.
+against a modular elimination of the full, unpruned matrix over three
+fixed large primes.
 
 Coefficients are ``fractions.Fraction`` throughout.  Polynomial
 arithmetic uses field operations only, and the rank routines read a
