@@ -214,7 +214,13 @@ class HermitianBiform:
         den = math.lcm(*(v.denominator for row in coerced for z in row for v in (z.re, z.im)))
         re = [[z.re.numerator * (den // z.re.denominator) for z in row] for row in coerced]
         im = [[z.im.numerator * (den // z.im.denominator) for z in row] for row in coerced]
-        _check_hermitian(den, re, im)
+        for i in range(dim):
+            for j in range(i, dim):
+                if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
+                    raise ValueError(
+                        f"matrix is not Hermitian at ({i},{j}): "
+                        f"{coerced[i][j]} vs conj({coerced[j][i]})"
+                    )
         self._store(n_vars, half_degree, den, re, im)
 
     @classmethod
@@ -259,18 +265,6 @@ class HermitianBiform:
         return f"HermitianBiform(n_vars={self.n_vars}, d={self.half_degree}, dim={self.dim})"
 
 
-def _check_hermitian(den: int, re: list[list[int]], im: list[list[int]]) -> None:
-    """Raise ValueError unless (re + i*im) / den is Hermitian; the message
-    names the first failing pair and is built only on failure."""
-    dim = len(re)
-    for i in range(dim):
-        for j in range(i, dim):
-            if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
-                a = GaussianRational(Fraction(re[i][j], den), Fraction(im[i][j], den))
-                b = GaussianRational(Fraction(re[j][i], den), Fraction(im[j][i], den))
-                raise ValueError(f"matrix is not Hermitian at ({i},{j}): {a} vs conj({b})")
-
-
 def zero_biform(n_vars: int, d: int) -> HermitianBiform:
     dim = len(monomials_of_degree(n_vars, d))
     return HermitianBiform(n_vars, d, [[0] * dim for _ in range(dim)])
@@ -284,27 +278,21 @@ def biform_from_terms(
 
     Repeated pairs accumulate.  Unlisted pairs are zero.  Raises if any
     exponent tuple has the wrong degree or if the assembled matrix fails
-    to be Hermitian.  The terms are summed into int matrices ``re`` and
-    ``im`` over the lcm of their denominators, and the symmetry is checked
-    on those ints.
+    to be Hermitian.  Only the listed pairs are summed, as exact scalars;
+    the constructor converts the matrix to ints once and checks the
+    symmetry on them.
     """
     index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d))}
-    dim = len(index)
-    cells = []
+    cells: dict[tuple[int, int], GaussianRational] = {}
     for alpha, beta, coeff in terms:
         alpha, beta = tuple(alpha), tuple(beta)
         if alpha not in index or beta not in index:
             raise ValueError(f"term ({alpha},{beta}) is not of bidegree ({d},{d}) in {n_vars} variables")
-        z = GaussianRational.of(coeff)
-        cells.append((index[alpha], index[beta], z.re, z.im))
-    den = math.lcm(*(v.denominator for _, _, a, b in cells for v in (a, b)))
-    re = [[0] * dim for _ in range(dim)]
-    im = [[0] * dim for _ in range(dim)]
-    for i, j, a, b in cells:
-        re[i][j] += a.numerator * (den // a.denominator)
-        im[i][j] += b.numerator * (den // b.denominator)
-    _check_hermitian(den, re, im)
-    return HermitianBiform._from_ints(n_vars, d, den, re, im)
+        key = index[alpha], index[beta]
+        coeff = GaussianRational.of(coeff)
+        cells[key] = cells[key] + coeff if key in cells else coeff
+    dim = len(index)
+    return HermitianBiform(n_vars, d, [[cells.get((i, j), 0) for j in range(dim)] for i in range(dim)])
 
 
 def biform_terms(form: HermitianBiform) -> list[tuple[Monomial, Monomial, GaussianRational]]:
