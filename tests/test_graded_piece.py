@@ -4,7 +4,8 @@ The oracle builds every monomial multiple m*g with its own code, sharing
 nothing with ``poly._graded_piece_rows``, and compares the rank of that
 full matrix with ``graded_piece_dim``.  Dense random generators almost
 never expose a wrong pruning rule, so the inputs are mostly sparse, repeat
-and scale generators, and let generators share a leading monomial.
+and scale generators, let generators share a leading monomial, and
+include factors of binomials.
 """
 
 from fractions import Fraction
@@ -57,23 +58,40 @@ coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter
 
 @st.composite
 def scalar(draw, gaussian: bool):
-    re = draw(coefficients)
     if gaussian and draw(st.booleans()):
         return GaussianRational(draw(st.fractions(min_value=-3, max_value=3, max_denominator=2)), draw(coefficients))
-    return re
+    return draw(coefficients)
 
 
 @st.composite
 def ideals(draw, monomial: bool = False):
     """1-4 generators of degree 1-3 in 2-4 variables: mostly 2-3 terms,
-    sometimes a copy of an earlier generator times a scalar, sometimes a
-    new one with the leading monomial of an earlier one."""
+    sometimes a copy of an earlier generator times a scalar, a new one
+    with the leading monomial of an earlier one, or a binomial factor
+    (z_a^k - c^k z_b^k) / (z_a - c z_b).  A multiple of a binomial factor
+    has just two terms, so it makes the kept rows dependent under a rule
+    that prunes by one of its middle terms; generic generators hide such
+    a rule."""
     n = draw(st.integers(2, 4))
     gaussian = not monomial and draw(st.booleans())
     gens: list[HomogPoly] = []
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(("sparse", "sparse", "copy", "shared-lead", "dense")) if gens and not monomial
-                    else st.just("monomial" if monomial else "sparse"))
+        if monomial:
+            kind = "monomial"
+        else:
+            kind = draw(st.sampled_from(("sparse", "sparse", "dense", "binomial-factor")
+                                        + (("copy", "shared-lead") if gens else ())))
+        if kind == "binomial-factor":
+            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            degree = draw(st.integers(2, 3))
+            c = draw(st.sampled_from((1, -1, 2, Fraction(-1, 2))))
+            terms = {}
+            for t in range(degree + 1):
+                mono = [0] * n
+                mono[a], mono[b] = degree - t, t
+                terms[tuple(mono)] = Fraction(c) ** t
+            gens.append(HomogPoly(n, degree, terms))
+            continue
         if kind == "copy":
             g = gens[draw(st.integers(0, len(gens) - 1))]
             k = draw(scalar(gaussian))
