@@ -100,8 +100,7 @@ def ideals(draw, monomial: bool = False):
         if kind == "shared-lead":
             g = gens[draw(st.integers(0, len(gens) - 1))]
             lead = min(g.terms, key=grevlex_key)
-            later = sorted((m for m in poly.monomials_of_degree(n, g.degree) if grevlex_key(m) > grevlex_key(lead)),
-                           key=grevlex_key)
+            later = [m for m in poly.monomials_of_degree(n, g.degree) if grevlex_key(m) > grevlex_key(lead)]
             others = draw(st.lists(st.sampled_from(later), max_size=2, unique=True)) if later else []
             gens.append(HomogPoly(n, g.degree, {m: draw(scalar(gaussian)) for m in [lead, *others]}))
             continue
