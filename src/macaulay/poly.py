@@ -10,16 +10,20 @@ Hilbert function value is exact; an optional mode checks each rank
 against a modular elimination of the full, unpruned matrix over three
 fixed large primes.
 
-Coefficients are ``fractions.Fraction`` throughout.  Polynomial
-arithmetic uses field operations only, and the rank routines read a
-non-real scalar through its ``re``/``im`` parts, so Gaussian-rational
-coefficients (see :mod:`macaulay.hermitian`) work unchanged.
+Polynomial coefficients are ``fractions.Fraction``.  Arithmetic uses
+field operations only, and the rank routines read a non-real scalar
+through its ``re``/``im`` parts, so Gaussian-rational coefficients (see
+:mod:`macaulay.hermitian`) work unchanged.  The rows of a graded piece
+hold ints: each rational generator is scaled once to a primitive integer
+vector (see ``_graded_piece_rows``), while a Gaussian generator's rows
+keep its coefficients.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -230,15 +234,24 @@ def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, int
     the real embedding of Gaussian rows.
 
     Each row is scaled by the lcm of its denominators and divided by the
-    gcd of the results.  Zero rows are dropped; duplicate rows are kept,
-    since elimination reduces them to zero.  If any entry has a nonzero
-    imaginary part, every row ``a + ib`` becomes the two rows ``[a, -b]``
-    and ``[b, a]`` of the real embedding (column c of the two blocks is
-    interleaved as 2c and 2c + 1), whose rank is twice the rank over Q(i).
+    gcd of the results.  A row whose values are all nonzero ``int``s (the
+    graded-piece rows of a rational generator) is only divided by its gcd,
+    and always into a new dict: the input rows are never the output rows,
+    so ``_echelon_rank`` may consume the output while the caller reads its
+    rows again, as the modular-checked mode does.  Zero rows are dropped;
+    duplicate rows are kept, since elimination reduces them to zero.  If
+    any entry has a nonzero imaginary part, every row ``a + ib`` becomes
+    the two rows ``[a, -b]`` and ``[b, a]`` of the real embedding (column
+    c of the two blocks is interleaved as 2c and 2c + 1), whose rank is
+    twice the rank over Q(i).
     """
     scaled = []
     gaussian = False
     for row in rows:
+        if row and all(type(v) is int and v for v in row.values()):
+            content = math.gcd(*row.values())
+            scaled.append(({c: v // content for c, v in row.items()} if content != 1 else dict(row), {}))
+            continue
         re: dict[int, object] = {}
         im: dict[int, object] = {}
         for c, v in row.items():
@@ -340,7 +353,8 @@ def exact_rank(rows: Iterable[dict[int, object]]) -> int:
     entries are bounded by those minors, hence by the Hadamard bound.
 
     The real embedding has even rank; an odd one raises ArithmeticError
-    rather than being halved.
+    rather than being halved.  The input rows are left as they were:
+    elimination runs on the new rows of ``_integer_rows``.
     """
     int_rows, gaussian = _integer_rows(rows)
     rank = _echelon_rank(int_rows)
@@ -394,7 +408,7 @@ def _graded_piece_rows(ideal: GradedIdeal, d: int) -> tuple[list[dict[int, objec
     """Sparse rows spanning I_d, in the monomials_of_degree column basis:
     the kept monomial multiples m*g_j with deg m + deg g_j = d, and a lazy
     iterator over the skipped ones.  Generators of degree > d contribute
-    nothing.
+    nothing; when no generator is left, no column is built.
 
     The row m*g_j is skipped when the leading monomial LM(g_i) of an
     earlier generator (i < j) divides m; LM is the grevlex-largest term,
@@ -410,30 +424,44 @@ def _graded_piece_rows(ideal: GradedIdeal, d: int) -> tuple[list[dict[int, objec
     combination of rows of g_i, which lie in the span of the kept rows
     since i < j.  Each m'*s is smaller than m, since grevlex is a monomial
     order, so (m'*s)*g_j lies in that span too.  As c != 0, so does m*g_j.
-    """
-    col_index = {m: i for i, m in enumerate(monomials_of_degree(ideal.n_vars, d))}
 
-    def row(g: HomogPoly, mult: Monomial) -> dict[int, object]:
-        return {col_index[tuple(a + b for a, b in zip(mono, mult))]: c for mono, c in g.terms.items()}
+    The rows of a rational generator are its coefficients scaled once to a
+    primitive integer vector, so ``_integer_rows`` passes them through.
+    Scaling a generator by a nonzero rational leaves every row span
+    unchanged, so every H_I stays exact.  A Gaussian generator keeps its
+    coefficients.  Monomials are packed into the ints
+    key(m) = sum of m_i*(d+1)**i: every exponent of a monomial of degree
+    <= d is below d+1, so the key is injective there, key(m) + key(t) =
+    key(m*t), and keys ascend in monomials_of_degree order, so LM(g) is
+    the term of least key.
+    """
+    if all(g.degree > d for g in ideal.generators):
+        return [], iter(())
+    powers = [(d + 1) ** i for i in range(ideal.n_vars)]
+    keys = [[sum(map(operator.mul, m, powers)) for m in monomials_of_degree(ideal.n_vars, k)] for k in range(d + 1)]
+    col_index = {k: i for i, k in enumerate(keys[d])}
+
+    def row(tkeys: list[int], values: list[object], mk: int) -> dict[int, object]:
+        return {col_index[mk + tk]: v for tk, v in zip(tkeys, values)}
 
     kept: list[dict[int, object]] = []
-    skipped: list[tuple[HomogPoly, Monomial]] = []
-    leads: list[Monomial] = []
+    skipped: list[tuple[list[int], list[object], int]] = []
+    leads: list[tuple[int, int]] = []
     for g in ideal.generators:
         e = d - g.degree
-        if e >= 0:
-            skip = {
-                tuple(a + b for a, b in zip(lead, m))
-                for lead in leads if sum(lead) <= e
-                for m in monomials_of_degree(ideal.n_vars, e - sum(lead))
-            }
-            for mult in monomials_of_degree(ideal.n_vars, e):
-                if mult in skip:
-                    skipped.append((g, mult))
-                else:
-                    kept.append(row(g, mult))
-        leads.append(min(g.terms, key=lambda m: m[::-1]))
-    return kept, (row(g, mult) for g, mult in skipped)
+        if e < 0:
+            continue
+        tkeys = [sum(map(operator.mul, t, powers)) for t in g.terms]
+        ints, gaussian = _integer_rows([dict(enumerate(g.terms.values()))])
+        values = list(g.terms.values() if gaussian else ints[0].values())
+        skip = {lk + mk for ldeg, lk in leads if ldeg <= e for mk in keys[e - ldeg]}
+        for mk in keys[e]:
+            if mk in skip:
+                skipped.append((tkeys, values, mk))
+            else:
+                kept.append(row(tkeys, values, mk))
+        leads.append((g.degree, min(tkeys)))
+    return kept, (row(*args) for args in skipped)
 
 
 def graded_piece_dim(ideal: GradedIdeal, d: int, mode: str = "exact") -> int:
