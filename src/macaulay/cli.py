@@ -191,6 +191,9 @@ def cmd_hermitian(path: str, s: int | None, t: int | None, l: int) -> Report:
         )
     sig = hermitian.biform_signature(form)
     r = hermitian.biform_rank(form)
+    # rank and signature come from different kernels; rank == p + q checks one against the other
+    if r != sig.rank:
+        raise ArithmeticError(f"rank {r} of the form differs from p + q = {sig.rank}")
     product = hermitian.multiply_signed_norm(form, (s, t))
     rank_product = hermitian.biform_rank(product)
     low, high = hermitian.product_rank_interval(r, n)
@@ -207,6 +210,9 @@ def cmd_hermitian(path: str, s: int | None, t: int | None, l: int) -> Report:
     else:
         power = hermitian.multiply_norm_power(form, l)
     power_sig = hermitian.biform_signature(power)
+    # at (s, t) = (n, 0) and l = 1 the power is the product
+    if (s, t) == (n, 0) and l == 1 and rank_product != power_sig.rank:
+        raise ArithmeticError(f"rank {rank_product} of the product differs from p + q = {power_sig.rank}")
     sos = power_sig.q == 0
     outputs["norm_power_rank"] = power_sig.rank
     outputs["norm_power_is_sum_of_squares"] = sos

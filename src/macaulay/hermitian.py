@@ -6,13 +6,15 @@ degree-d monomial basis: ``matrix[i][j]`` is the coefficient of
 ``z^basis[i] * conj(z)^basis[j]``.  The matrix is held once, as integers:
 (re + i*im) / den with int matrices ``re`` and ``im`` and the least
 positive common denominator ``den``.  The rank comes from ``exact_rank``
-on those integer parts (a non-real matrix through its real symmetric
-embedding).  The signature and the square decomposition come from one
-fraction-free congruence kernel over the Gaussian integers on ``re`` and
-``im``; the rank is kept on the other kernel so that rank == p + q checks
-one against the other.  Multiplication and exact division by signed norms
-are integer-linear maps applied to ``re`` and ``im`` alike, over the same
-``den``.  No floating point appears anywhere.
+on those integer parts (a non-real matrix through its fraction-free row
+elimination over the Gaussian integers).  The signature and the square
+decomposition come from one fraction-free congruence kernel over the
+Gaussian integers on ``re`` and ``im``; the rank is kept on the other
+kernel so that rank == p + q checks one against the other, as the
+``hermitian`` subcommand does before it reports.  Multiplication and
+exact division by signed norms are integer-linear maps applied to ``re``
+and ``im`` alike, over the same ``den``.  No floating point appears
+anywhere.
 """
 
 from __future__ import annotations
@@ -342,7 +344,10 @@ def biform_from_squares(
 
 def biform_rank(form: HermitianBiform) -> int:
     """Exact rank of the coefficient matrix, by ``exact_rank`` over Q(i) on
-    the integer parts (den times the matrix has the same rank)."""
+    the integer parts (den times the matrix has the same rank): row
+    elimination over the Gaussian integers for a non-real form, over the
+    integers for a real one.  It shares no code with the congruence kernel
+    of ``biform_signature``, so rank == p + q checks the two."""
     im = form.im or ((0,) * form.dim,) * form.dim
     return exact_rank([
         {j: GaussianRational(a, b) for j, (a, b) in enumerate(zip(ra, ia)) if a or b}
@@ -353,17 +358,20 @@ def biform_rank(form: HermitianBiform) -> int:
 def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):
     """Fraction-free Hermitian congruence elimination of W = re + i*im over
     the Gaussian integers (``im`` None for a real W); yields
-    ``(delta, index, x, y, g)`` once per step.
+    ``(delta, keep, k, x, y, g)`` once per step.
 
     Each step takes a direction u and sets delta = u^H W u and w = W u:
     u = e_k at the nonzero diagonal entry of smallest |d| (the first index
     on ties) or, if the diagonal is zero, u = e_i + conj(a) e_j for the
     first off-diagonal a = W[i][j] != 0, so that delta = 2|a|^2 > 0.  It
     replaces W by |delta| W - sgn(delta) w w^H and divides that by its
-    positive content g.  The step yields delta, w = x + iy (``y`` None
-    for a real W) on the rows whose original indices are ``index``, and g.
-    An e_k step drops row and column k, which it makes zero; zero rows are
-    dropped before each step.
+    positive content g.  Zero rows are dropped before each step: ``keep``
+    lists the positions, among the rows the previous step left, of the
+    rows this step works on.  The step yields delta, w = x + iy (``y``
+    None for a real W) on those rows, and g.  An e_k step then drops row
+    and column k, which it makes zero; a zero-diagonal step yields
+    k = len(keep) and drops none.  Only ``decompose`` maps positions back
+    to the input's rows, so only it keeps that index.
 
     Why the counts are exact: W = w w^H / delta + S with S u = 0, and in
     a basis holding u (u replaces e_i by a unit triangular change) this is
@@ -385,13 +393,11 @@ def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):
     its a to every later bound, and no better bound is claimed for a run
     of them.
     """
-    index = list(range(len(re)))
     while True:
         keep = [t for t in range(len(re)) if any(re[t]) or (im and any(im[t]))]
         if len(keep) < len(re):
             re = [[re[r][s] for s in keep] for r in keep]
             im = im and [[im[r][s] for s in keep] for r in keep]
-            index = [index[t] for t in keep]
         if not re:
             return
         m = len(re)
@@ -426,8 +432,8 @@ def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):
         if g > 1:
             new_re = [[v // g for v in row] for row in new_re]
             new_im = [[v // g for v in row] for row in new_im]
-        yield delta, index, x, y, g
-        re, im, index = new_re, new_im or None, index[:k] + index[k + 1:]
+        yield delta, keep, k, x, y, g
+        re, im = new_re, new_im or None
 
 
 def biform_signature(form: HermitianBiform) -> SignaturePair:
@@ -461,7 +467,10 @@ def decompose(form: HermitianBiform) -> list[SquareTerm]:
     basis = form.basis
     lam = Fraction(form.den)
     out = []
-    for delta, index, x, y, g in _congruence_steps(form.re, form.im):
+    index = list(range(form.dim))  # the input row of each position
+    for delta, keep, k, x, y, g in _congruence_steps(form.re, form.im):
+        if len(keep) < len(index):
+            index = [index[t] for t in keep]
         weight = delta / lam
         lam = lam * abs(delta) / g
         root = _perfect_square_root(abs(weight))
@@ -475,6 +484,7 @@ def decompose(form: HermitianBiform) -> list[SquareTerm]:
             if xr or yr
         }
         out.append(SquareTerm(weight, HomogPoly(form.n_vars, form.half_degree, terms)))
+        del index[k:k + 1]
     return out
 
 

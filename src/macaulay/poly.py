@@ -4,11 +4,11 @@ A monomial is an exponent tuple, a polynomial is a dict from exponent
 tuples to nonzero exact coefficients, and the degree-d piece of an ideal
 is the row space of the matrix of the monomial multiples of its
 generators, less the rows that Buchberger's product criterion proves
-redundant.  Dimensions come out of exact integer elimination on
-primitive rows (Gaussian rows through their real embedding), so every
-Hilbert function value is exact; an optional mode checks each rank
-against a modular elimination of the full, unpruned matrix over three
-fixed large primes.
+redundant.  Dimensions come out of exact elimination on primitive
+integer rows (Gaussian rows by fraction-free elimination over the
+Gaussian integers), so every Hilbert function value is exact; an optional
+mode checks each rank against a modular elimination of the full,
+unpruned matrix over three fixed large primes.
 
 Polynomial coefficients are ``fractions.Fraction``.  Arithmetic uses
 field operations only, and the rank routines read a non-real scalar
@@ -229,57 +229,49 @@ class BoundChecks(NamedTuple):
 # Exact rank machinery
 # ---------------------------------------------------------------------------
 
-def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, int]], bool]:
-    """Primitive integer rows spanning the same space, and whether they are
-    the real embedding of Gaussian rows.
+def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, object]], bool]:
+    """Primitive integer rows spanning the same space, and whether any entry
+    is not real.
 
     Each row is scaled by the lcm of its denominators and divided by the
     gcd of the results.  A row whose values are all nonzero ``int``s (the
     graded-piece rows of a rational generator) is only divided by its gcd,
     and always into a new dict: the input rows are never the output rows,
-    so ``_echelon_rank`` may consume the output while the caller reads its
-    rows again, as the modular-checked mode does.  Zero rows are dropped;
+    so the kernels may consume the output while the caller reads its rows
+    again, as the modular-checked mode does.  Zero rows are dropped;
     duplicate rows are kept, since elimination reduces them to zero.  If
-    any entry has a nonzero imaginary part, every row ``a + ib`` becomes
-    the two rows ``[a, -b]`` and ``[b, a]`` of the real embedding (column
-    c of the two blocks is interleaved as 2c and 2c + 1), whose rank is
-    twice the rank over Q(i).
+    no entry has a nonzero imaginary part the values are ints; otherwise
+    every row, real ones included, maps each column to an ``(re, im)``
+    pair of ints, a Gaussian integer, and the gcd runs over both parts.
     """
-    scaled = []
+    scaled: list[tuple[dict[int, object], bool]] = []
     gaussian = False
     for row in rows:
         if row and all(type(v) is int and v for v in row.values()):
             content = math.gcd(*row.values())
-            scaled.append(({c: v // content for c, v in row.items()} if content != 1 else dict(row), {}))
+            scaled.append(({c: v // content for c, v in row.items()} if content != 1 else dict(row), False))
             continue
-        re: dict[int, object] = {}
-        im: dict[int, object] = {}
+        parts: dict[int, tuple[object, object]] = {}
         for c, v in row.items():
-            if not isinstance(v, (int, Fraction)):
-                if v.im:
-                    im[c] = v.im
-                v = v.re
-            if v:
-                re[c] = v
-        if not (re or im):
+            if isinstance(v, (int, Fraction)):
+                if v:
+                    parts[c] = (v, 0)
+            elif v.re or v.im:
+                parts[c] = (v.re, v.im)
+                gaussian = gaussian or bool(v.im)
+        if not parts:
             continue
-        den = math.lcm(*[v.denominator for v in re.values()], *[v.denominator for v in im.values()])
-        re = {c: v.numerator * (den // v.denominator) for c, v in re.items()}
-        im = {c: v.numerator * (den // v.denominator) for c, v in im.items()}
-        content = math.gcd(*re.values(), *im.values())
+        den = math.lcm(*[x.denominator for pair in parts.values() for x in pair])
+        pairs = {c: (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+                 for c, (a, b) in parts.items()}
+        content = math.gcd(*[x for pair in pairs.values() for x in pair])
         if content != 1:
-            re = {c: v // content for c, v in re.items()}
-            im = {c: v // content for c, v in im.items()}
-        scaled.append((re, im))
-        gaussian = gaussian or bool(im)
+            pairs = {c: (a // content, b // content) for c, (a, b) in pairs.items()}
+        scaled.append((pairs, True))
 
-    if not gaussian:
-        return [re for re, _ in scaled], False
-    out: list[dict[int, int]] = []
-    for re, im in scaled:
-        out.append({**{2 * c: v for c, v in re.items()}, **{2 * c + 1: -v for c, v in im.items()}})
-        out.append({**{2 * c: v for c, v in im.items()}, **{2 * c + 1: v for c, v in re.items()}})
-    return out, True
+    if gaussian:
+        return [row if paired else {c: (v, 0) for c, v in row.items()} for row, paired in scaled], True
+    return [{c: a for c, (a, _) in row.items()} if paired else row for row, paired in scaled], False
 
 
 def _echelon_rank(rows: list[dict[int, int]]) -> int:
@@ -333,46 +325,160 @@ def _echelon_rank(rows: list[dict[int, int]]) -> int:
     return rank
 
 
+def _bareiss_factor(pivots: list[tuple[int, int]], k: int, a_p: int, a_r: int) -> tuple[int, int, int]:
+    """p_{k-1} / (p_{a_p} * p_{a_r}) as ``(gr, gi, norm)``, the Gaussian
+    rational (gr + i*gi) / norm with gcd(gr, gi, norm) = 1, where
+    ``pivots[j]`` is p_j (see ``_gaussian_rank``)."""
+    if a_p == k - 1 or a_r == k - 1:
+        dr, di = pivots[a_r if a_p == k - 1 else a_p]
+        gr, gi = dr, -di
+    else:
+        (xr, xi), (yr, yi), (lr, li) = pivots[a_p], pivots[a_r], pivots[k - 1]
+        dr, di = xr * yr - xi * yi, xr * yi + xi * yr
+        gr, gi = lr * dr + li * di, li * dr - lr * di
+    norm = dr * dr + di * di
+    g = math.gcd(gr, gi, norm)
+    return gr // g, gi // g, norm // g
+
+
+def _gaussian_rank(rows: list[dict[int, tuple[int, int]]]) -> int:
+    """Rank of nonzero Gaussian-integer rows (``(re, im)`` int pairs) by
+    fraction-free (Bareiss) elimination; the rows are consumed.
+
+    Rows are bucketed by leading column and the columns are swept once, as
+    in ``_echelon_rank``, so step k (pivot column c_k, pivot row P, pivot
+    entry pi) writes only the rows R of its bucket, the rows that hold c_k;
+    f is the entry of R in c_k.  Every row records the step at which it
+    was last written, 0 for an input row.  With p_0 = 1, step k writes
+
+        R <- (pi*R - f*P) * p_{k-1} / (p_{a_P} * p_{a_R}),
+        p_k = pi * p_{k-1} / p_{a_P},
+
+    where a_P and a_R are the steps at which P and R were last written.
+
+    Why the divisions are exact.  Let p_k be the determinant of the input
+    on the rows P_1..P_k and columns c_1..c_k, and B_k(R) the row whose
+    entry in column c is the determinant on rows P_1..P_k, R and columns
+    c_1..c_k, c: both are minors of a Gaussian-integer matrix, so they are
+    Gaussian integers.  Sylvester's identity gives Bareiss's recurrence
+
+        B_k(R) = (p_k * B_{k-1}(R) - B_{k-1}(R)[c_k] * B_{k-1}(P_k)) / p_{k-1},
+
+    with p_k = B_{k-1}(P_k)[c_k].  A row last written at step a holds
+    B_a(R), and its lead lies after c_{a+1}..c_{k-1}, so B_j(R)[c_{j+1}] = 0
+    for a <= j < k-1, and the recurrence gives B_{k-1}(R) = B_a(R) *
+    p_{k-1} / p_a.  Putting this in for P and for R gives the two formulas
+    above for p_k and B_k(R), which are Gaussian integers, so both
+    divisions leave no remainder; a nonzero one raises ArithmeticError.
+    The entries are (k+1)-minors, bounded by Hadamard's bound.  B_k(R) is
+    zero exactly when R lies in the span of P_1..P_k, so the number of
+    steps is the rank.
+    """
+    buckets: dict[int, list[tuple[dict[int, tuple[int, int]], int]]] = {}
+    for row in rows:
+        buckets.setdefault(min(row), []).append((row, 0))
+    pivots = [(1, 0)]  # pivots[k] = p_k
+    for pcol in sorted(set().union(*rows)):
+        bucket = buckets.pop(pcol, None)
+        if bucket is None:
+            continue
+        k = len(pivots)
+        prow, a_p = min(bucket, key=lambda entry: len(entry[0]))
+        pr, pi = prow.pop(pcol)
+        # p_k = pi * p_{k-1} / p_{a_P}: the factor at a_R = 0, as p_0 = 1
+        gr, gi, norm = _bareiss_factor(pivots, k, a_p, 0)
+        (kr, rest_r), (ki, rest_i) = divmod(pr * gr - pi * gi, norm), divmod(pr * gi + pi * gr, norm)
+        if rest_r or rest_i:
+            raise ArithmeticError(f"Bareiss pivot division by {norm} leaves a remainder at step {k}")
+        pivots.append((kr, ki))
+        if len(bucket) == 1:
+            continue
+        tail = list(prow.items())
+        # rows last written at the same step share the factor and pi times it
+        factors: dict[int, tuple[int, int, int, int, int]] = {}
+        for row, a_r in bucket:
+            if row is prow:
+                continue
+            fr, fi = row.pop(pcol)
+            factor = factors.get(a_r)
+            if factor is None:
+                gr, gi, norm = _bareiss_factor(pivots, k, a_p, a_r)
+                factor = factors[a_r] = (gr, gi, norm, pr * gr - pi * gi, pr * gi + pi * gr)
+            gr, gi, norm, ar, ai = factor
+            br, bi = fr * gr - fi * gi, fr * gi + fi * gr
+            out = {}
+            for c, (yr, yi) in tail:  # the columns of P, then those only R holds
+                xr, xi = row.pop(c, (0, 0))
+                zr, zi = ar * xr - ai * xi - br * yr + bi * yi, ar * xi + ai * xr - br * yi - bi * yr
+                if norm != 1:
+                    zr, rest_r = divmod(zr, norm)
+                    zi, rest_i = divmod(zi, norm)
+                    if rest_r or rest_i:
+                        raise ArithmeticError(f"Bareiss division by {norm} leaves a remainder at step {k}")
+                if zr or zi:
+                    out[c] = (zr, zi)
+            for c, (xr, xi) in row.items():
+                zr, zi = ar * xr - ai * xi, ar * xi + ai * xr
+                if norm != 1:
+                    zr, rest_r = divmod(zr, norm)
+                    zi, rest_i = divmod(zi, norm)
+                    if rest_r or rest_i:
+                        raise ArithmeticError(f"Bareiss division by {norm} leaves a remainder at step {k}")
+                out[c] = (zr, zi)
+            if out:
+                buckets.setdefault(min(out), []).append((out, k))
+    return len(pivots) - 1
+
+
 def exact_rank(rows: Iterable[dict[int, object]]) -> int:
     """Exact rank of a sparse matrix over Q, or over Q(i) for Gaussian entries.
 
     Rows are ``{column: value}`` dicts whose values are int, Fraction or
     Gaussian rationals (anything else with rational ``re``/``im`` parts).
-    They are made primitive integer vectors, through the real embedding
-    when any entry is not real, and eliminated with integer arithmetic
-    only: a step changes just the rows that hold the pivot column, each to
-    ``(p/g)*row - (f/g)*prow`` divided by its content.
+    They are made primitive integer vectors, or primitive Gaussian-integer
+    vectors when any entry is not real, and eliminated with integer
+    arithmetic only.  Integer rows go through ``_echelon_rank``: a step
+    changes just the rows that hold the pivot column, each to
+    ``(p/g)*row - (f/g)*prow`` divided by its content.  Gaussian rows go
+    through ``_gaussian_rank``, a fraction-free elimination over Z[i] that
+    also changes only those rows and divides by earlier pivots instead of
+    a content; a division that leaves a remainder raises ArithmeticError.
 
     Entries stay bounded as in fraction-free (Bareiss) elimination.  After
-    pivot rows r_1..r_k, a working row is the one vector, up to scale, in
-    the span of its original row and r_1..r_k that vanishes on the k pivot
-    columns (the pivot rows restricted to those columns form an invertible
-    triangular system).  Bareiss with the same pivots holds a vector of that
-    span with the same zeros, whose entries are (k+1)-minors of the input.
-    So each working row is the primitive part of the Bareiss row, and its
-    entries are bounded by those minors, hence by the Hadamard bound.
-
-    The real embedding has even rank; an odd one raises ArithmeticError
-    rather than being halved.  The input rows are left as they were:
-    elimination runs on the new rows of ``_integer_rows``.
+    pivot rows r_1..r_k, a working row of ``_echelon_rank`` is the one
+    vector, up to scale, in the span of its original row and r_1..r_k that
+    vanishes on the k pivot columns (the pivot rows restricted to those
+    columns form an invertible triangular system).  Bareiss with the same
+    pivots holds a vector of that span with the same zeros, whose entries
+    are (k+1)-minors of the input.  So each working row is the primitive
+    part of the Bareiss row, and its entries are bounded by those minors,
+    hence by the Hadamard bound; ``_gaussian_rank`` holds the Bareiss rows
+    themselves.  The input rows are left as they were: elimination runs on
+    the new rows of ``_integer_rows``.
     """
     int_rows, gaussian = _integer_rows(rows)
-    rank = _echelon_rank(int_rows)
-    if not gaussian:
-        return rank
-    if rank % 2:
-        raise ArithmeticError(f"real embedding has odd rank {rank}")
-    return rank // 2
+    return _gaussian_rank(int_rows) if gaussian else _echelon_rank(int_rows)
 
 
 def rank_mod_prime(rows: Iterable[dict[int, object]], p: int) -> int:
     """Rank over GF(p) of the primitive integer rows of ``exact_rank``.
 
     A modular rank never exceeds the rational rank, and equals it unless p
-    divides the wrong minors.  For Gaussian rows the result is
+    divides the wrong minors.  Gaussian rows a + ib are eliminated through
+    their real embedding, the two rows [a, -b] and [b, a] (column c of the
+    two blocks interleaved as 2c and 2c + 1), whose rank is twice the rank
+    over Q(i).  The embedding serves every prime, while Z[i] modulo p is a
+    field only when p = 3 mod 4, and the primes of ``RANK_PRIMES`` are 3, 1
+    and 1 mod 4.  For Gaussian rows the result is
     ceil(rank_p(embedding) / 2), which is still a lower bound.
     """
     int_rows, gaussian = _integer_rows(rows)
+    if gaussian:
+        embedded = []
+        for row in int_rows:
+            embedded.append({k: v for c, (a, b) in row.items() for k, v in ((2 * c, a), (2 * c + 1, -b))})
+            embedded.append({k: v for c, (a, b) in row.items() for k, v in ((2 * c, b), (2 * c + 1, a))})
+        int_rows = embedded
     rank = 0
     pivots: dict[int, dict[int, int]] = {}
     for row in int_rows:

@@ -1,5 +1,6 @@
 """Checks the CLI makes before it reports: the modular cross-check of the
-Hilbert function, and argument ranges refused before any work starts."""
+Hilbert function, the rank == p + q cross-check of a Hermitian form, and
+argument ranges refused before any work starts."""
 
 import json
 
@@ -40,16 +41,37 @@ def test_modular_checked_raises_when_no_prime_agrees(capsys, monkeypatch, z1_fil
     assert hilbert_table(capsys, z1_file, "--d-max", "3") == exact
 
 
-def test_internal_fault_exits_3(capsys, monkeypatch, tmp_path):
+@pytest.fixture
+def imaginary_form_file(tmp_path):
+    """i*z1*conj(z2) - i*z2*conj(z1): rank 2, signature (1, 1), and so is
+    its product with |z|^2, a 3 x 3 matrix with no zero row."""
     i = GaussianRational(0, 1)
     path = tmp_path / "b.json"
     path.write_text(format_biform(biform_from_terms(2, 1, [((1, 0), (0, 1), i), ((0, 1), (1, 0), -i)])))
-    # a Gaussian rank comes from the real embedding, whose rank must be even
-    monkeypatch.setattr(poly, "_echelon_rank", lambda rows: 1)
-    assert main(["hermitian", str(path)]) == 3
+    return str(path)
+
+
+def test_internal_fault_exits_3(capsys, monkeypatch, imaginary_form_file):
+    assert main(["--format", "structured", "hermitian", imaginary_form_file]) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert (outputs["rank"], outputs["product_rank"], outputs["norm_power_rank"]) == (2, 2, 2)
+    # a Gaussian rank off by one no longer equals p + q from the congruence kernel
+    true_rank = poly._gaussian_rank
+    monkeypatch.setattr(poly, "_gaussian_rank", lambda rows: true_rank(rows) + 1)
+    assert main(["hermitian", imaginary_form_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "internal error: real embedding has odd rank 1\n"
+    assert captured.err == "internal error: rank 3 of the form differs from p + q = 2\n"
+
+
+def test_wrong_product_rank_exits_3_where_the_power_is_the_product(capsys, monkeypatch, imaginary_form_file):
+    true_rank = poly._gaussian_rank
+    monkeypatch.setattr(poly, "_gaussian_rank", lambda rows: true_rank(rows) - (len(rows) == 3))
+    for argv in ([], ["--s", "2", "--t", "0", "--l", "1"]):
+        assert main(["hermitian", imaginary_form_file, *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: rank 1 of the product differs from p + q = 2\n"
 
 
 def test_modular_checked_needs_one_agreeing_prime(capsys, monkeypatch, z1_file):

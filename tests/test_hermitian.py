@@ -1,5 +1,6 @@
 """Tests for Hermitian biforms: rank, signature, norm products, and bounds."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from macaulay.oracle import (
     random_invertible_matrix,
     sos_witness,
 )
-from macaulay.poly import GradedIdeal, HomogPoly, graded_piece_dim, monomial_poly, variable
+from macaulay.poly import GradedIdeal, HomogPoly, graded_piece_dim, monomial_poly, monomials_of_degree, variable
 
 i = GaussianRational(0, 1)
 
@@ -145,6 +146,40 @@ def test_signature_rank_consistency_with_elimination():
         form = random_hermitian_instance(2 + seed % 3, 1 + seed % 2, seed=seed * 7 + 1)
         sig = biform_signature(form)
         assert sig.p + sig.q == biform_rank(form)
+
+
+def echelon_squares(n: int, d: int, count: int, rng: random.Random) -> list[HomogPoly]:
+    """``count`` Gaussian polynomials in echelon form over a shuffled basis of
+    the degree-d monomials, hence linearly independent."""
+    basis = list(monomials_of_degree(n, d))
+    rng.shuffle(basis)
+    polys = []
+    for lead in range(count):
+        terms = {basis[lead]: GaussianRational(rng.choice((1, -1, 2, -3)), rng.randint(-3, 3))}
+        for mono in basis[lead + 1:]:
+            terms[mono] = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+        polys.append(HomogPoly(n, d, terms))
+    return polys
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_rank_equals_p_plus_q_on_forms_and_their_products(n, d):
+    """Row elimination and the congruence kernel agree on random forms and on
+    sums of independent squares, and on their products with every signed
+    norm, up to the 20 x 20 products of (n, d) = (4, 2)."""
+    rng = random.Random(10 * n + d)
+    dim = len(monomials_of_degree(n, d))
+    forms = [random_hermitian_instance(n, d, seed=rng.randrange(2**32)) for _ in range(2)]
+    for count in (max(1, dim // 2), dim):
+        squares = echelon_squares(n, d, count, rng)
+        split = rng.randint(0, count)
+        form = biform_from_squares(n, d, squares[:split], squares[split:])
+        assert biform_signature(form) == (split, count - split)
+        forms.append(form)
+    for form in forms:
+        for s in range(n + 1):
+            for f in (form, multiply_signed_norm(form, (s, n - s))):
+                assert biform_rank(f) == biform_signature(f).rank
 
 
 def test_decompose_worked_values():

@@ -1,11 +1,14 @@
 """Property tests of exact_rank against a Gauss-Jordan oracle that shares no
 code with macaulay.poly: plain Fraction arithmetic over Q, and over Q(i)
-with each entry held as a (real, imaginary) pair of Fractions."""
+with each entry held as a (real, imaginary) pair of Fractions.  Gaussian
+rows go through a fraction-free elimination over Z[i] that reads each row
+as last written several steps back, so sparse rows that skip pivot
+columns get a property of their own."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from macaulay import poly
@@ -150,10 +153,49 @@ def test_exact_rank_matches_gauss_jordan_oracle(data):
     assert rank_mod_prime(rows, RANK_PRIMES[r % 3]) <= r
 
 
-def test_odd_rank_of_the_real_embedding_raises(monkeypatch):
+gaussian_entries = st.builds(
+    lambda re, im, den: (Fraction(re, den), Fraction(im)),
+    st.integers(-3, 3), st.integers(-3, 3), st.sampled_from((1, 1, 2)),
+).filter(lambda x: x != ZERO)
+
+
+@st.composite
+def sparse_gaussian_matrices(draw):
+    """Sparse rows over Q(i), each with a drawn leading column and a few
+    later entries, plus rows a*x - b*y that combine two of them.  Leads skip
+    columns and most rows miss most pivot columns, so a row is often last
+    written several elimination steps before it is read."""
+    n = draw(st.integers(2, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        row = [ZERO] * n
+        lead = draw(st.integers(0, n - 1))
+        row[lead] = draw(gaussian_entries)
+        for c in range(lead + 1, n):
+            if draw(st.integers(0, 2)) == 0:
+                row[c] = draw(gaussian_entries)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, b = draw(gaussian_entries), draw(gaussian_entries)
+        rows.append([c_sub(c_mul(a, u), c_mul(b, v)) for u, v in zip(x, y)])
+    assume(any(im for row in rows for _, im in row))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_gaussian_matrices())
+def test_gaussian_elimination_on_sparse_rows_matches_gauss_jordan_oracle(matrix):
+    rows = [{c: GaussianRational(*x) for c, x in enumerate(row) if x != ZERO} for row in matrix]
+    assert exact_rank(rows) == oracle_rank(matrix)
+
+
+def test_an_inexact_bareiss_division_raises(monkeypatch):
     rows = [{0: GaussianRational(1, 1)}, {1: Fraction(1, 2)}]
     assert exact_rank(rows) == 2
-    true_rank = poly._echelon_rank
-    monkeypatch.setattr(poly, "_echelon_rank", lambda int_rows: true_rank(int_rows) + 1)
+    # A factor that ignores when rows were last written, p_{k-1} / p_{k-1}**2 at every
+    # step, makes p_2 = 1 / (1 + i), not a Gaussian integer: the rank is refused, not answered.
+    true_factor = poly._bareiss_factor
+    monkeypatch.setattr(poly, "_bareiss_factor", lambda pivots, k, a_p, a_r: true_factor(pivots, k, k - 1, k - 1))
     with pytest.raises(ArithmeticError):
         exact_rank(rows)
