@@ -107,7 +107,7 @@ def cmd_hilbert(path: str, d_max: int, mode: str) -> Report:
     if d_max < 0:
         raise ValueError(f"--d-max must be >= 0, got {d_max}")
     ideal = poly.parse_ideal(Path(path).read_text())
-    records = [poly.hilbert_record(ideal, d, mode=mode) for d in range(d_max + 1)]
+    records = poly.hilbert_records(ideal, d_max, mode=mode)
     identity_ok = all(
         r.h_ideal + r.h_quotient == math.comb(ideal.n_vars - 1 + r.degree, r.degree)
         for r in records

@@ -347,11 +347,14 @@ def biform_rank(form: HermitianBiform) -> int:
     the integer parts (den times the matrix has the same rank): row
     elimination over the Gaussian integers for a non-real form, over the
     integers for a real one.  It shares no code with the congruence kernel
-    of ``biform_signature``, so rank == p + q checks the two."""
-    im = form.im or ((0,) * form.dim,) * form.dim
+    of ``biform_signature``, so rank == p + q checks the two.  The rows
+    hold the parts as ints, or as ``(re, im)`` int pairs for a non-real
+    form, which ``exact_rank`` takes as they are."""
+    if form.im is None:
+        return exact_rank([{j: a for j, a in enumerate(ra) if a} for ra in form.re])
     return exact_rank([
-        {j: GaussianRational(a, b) for j, (a, b) in enumerate(zip(ra, ia)) if a or b}
-        for ra, ia in zip(form.re, im)
+        {j: (a, b) for j, (a, b) in enumerate(zip(ra, ia)) if a or b}
+        for ra, ia in zip(form.re, form.im)
     ])
 
 

@@ -10,13 +10,17 @@ Gaussian integers), so every Hilbert function value is exact; an optional
 mode checks each rank against a modular elimination of the full,
 unpruned matrix over three fixed large primes.
 
+``hilbert_records`` takes the degrees of one ideal in a single pass.  Once
+H_{R/I}(d) = 0, every later degree is proven full and filled without
+rows or elimination, so neither mode checks it modulo a prime.
+
 Polynomial coefficients are ``fractions.Fraction``.  Arithmetic uses
 field operations only, and the rank routines read a non-real scalar
 through its ``re``/``im`` parts, so Gaussian-rational coefficients (see
 :mod:`macaulay.hermitian`) work unchanged.  The rows of a graded piece
-hold ints: each rational generator is scaled once to a primitive integer
-vector (see ``_graded_piece_rows``), while a Gaussian generator's rows
-keep its coefficients.
+hold ints: each rational generator is scaled once per ideal to a
+primitive integer vector (see ``GradedIdeal._vectors``), while a Gaussian
+generator's rows keep its coefficients.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .binom import shift_apply
@@ -190,11 +194,30 @@ class GradedIdeal:
     generators: tuple[HomogPoly, ...]
 
     def __post_init__(self) -> None:
+        if self.n_vars < 1:
+            raise ValueError(f"need at least one variable, got {self.n_vars}")
         for g in self.generators:
             if g.n_vars != self.n_vars:
                 raise ValueError("generator variable count mismatch")
             if g.is_zero():
                 raise ValueError("zero polynomial is not a valid generator")
+
+    @cached_property
+    def _vectors(self) -> tuple[list[object], ...]:
+        """Each generator's coefficients in term order, as its graded-piece
+        rows hold them: a rational generator's scaled once to a primitive
+        integer vector, a Gaussian generator's as they are.
+
+        Computed on first use and then shared by every degree, so a pass
+        over the degrees converts each generator once; building an ideal
+        converts nothing.  Rows copy the values into new dicts, so no
+        kernel ever consumes these lists.
+        """
+        vectors = []
+        for g in self.generators:
+            ints, gaussian = _integer_rows([dict(enumerate(g.terms.values()))])
+            vectors.append(list(g.terms.values() if gaussian else ints[0].values()))
+        return tuple(vectors)
 
     @classmethod
     def zero(cls, n_vars: int) -> "GradedIdeal":
@@ -236,7 +259,9 @@ def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, obj
     Each row is scaled by the lcm of its denominators and divided by the
     gcd of the results.  A row whose values are all nonzero ``int``s (the
     graded-piece rows of a rational generator) is only divided by its gcd,
-    and always into a new dict: the input rows are never the output rows,
+    and so is a row whose values are all ``(re, im)`` pairs of ints (the
+    rows of a Gaussian biform), with one gcd over both parts.  Either way
+    the output is a new dict: the input rows are never the output rows,
     so the kernels may consume the output while the caller reads its rows
     again, as the modular-checked mode does.  Zero rows are dropped;
     duplicate rows are kept, since elimination reduces them to zero.  If
@@ -251,14 +276,22 @@ def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, obj
             content = math.gcd(*row.values())
             scaled.append(({c: v // content for c, v in row.items()} if content != 1 else dict(row), False))
             continue
+        if row and all(type(v) is tuple for v in row.values()):
+            content = math.gcd(*[x for pair in row.values() for x in pair])
+            if content:
+                scaled.append(({c: (a // content, b // content) for c, (a, b) in row.items() if a or b}, True))
+                gaussian = gaussian or any(b for _, b in row.values())
+            continue
         parts: dict[int, tuple[object, object]] = {}
         for c, v in row.items():
             if isinstance(v, (int, Fraction)):
                 if v:
                     parts[c] = (v, 0)
-            elif v.re or v.im:
-                parts[c] = (v.re, v.im)
-                gaussian = gaussian or bool(v.im)
+                continue
+            re, im = v if type(v) is tuple else (v.re, v.im)
+            if re or im:
+                parts[c] = (re, im)
+                gaussian = gaussian or bool(im)
         if not parts:
             continue
         den = math.lcm(*[x.denominator for pair in parts.values() for x in pair])
@@ -433,8 +466,9 @@ def _gaussian_rank(rows: list[dict[int, tuple[int, int]]]) -> int:
 def exact_rank(rows: Iterable[dict[int, object]]) -> int:
     """Exact rank of a sparse matrix over Q, or over Q(i) for Gaussian entries.
 
-    Rows are ``{column: value}`` dicts whose values are int, Fraction or
-    Gaussian rationals (anything else with rational ``re``/``im`` parts).
+    Rows are ``{column: value}`` dicts whose values are int, Fraction,
+    ``(re, im)`` pairs of ints, or Gaussian rationals (anything else with
+    rational ``re``/``im`` parts).
     They are made primitive integer vectors, or primitive Gaussian-integer
     vectors when any entry is not real, and eliminated with integer
     arithmetic only.  Integer rows go through ``_echelon_rank``: a step
@@ -531,8 +565,9 @@ def _graded_piece_rows(ideal: GradedIdeal, d: int) -> tuple[list[dict[int, objec
     since i < j.  Each m'*s is smaller than m, since grevlex is a monomial
     order, so (m'*s)*g_j lies in that span too.  As c != 0, so does m*g_j.
 
-    The rows of a rational generator are its coefficients scaled once to a
-    primitive integer vector, so ``_integer_rows`` passes them through.
+    The rows of a rational generator are its coefficients scaled once per
+    ideal to a primitive integer vector (``GradedIdeal._vectors``), so
+    ``_integer_rows`` passes them through.
     Scaling a generator by a nonzero rational leaves every row span
     unchanged, so every H_I stays exact.  A Gaussian generator keeps its
     coefficients.  Monomials are packed into the ints
@@ -553,13 +588,11 @@ def _graded_piece_rows(ideal: GradedIdeal, d: int) -> tuple[list[dict[int, objec
     kept: list[dict[int, object]] = []
     skipped: list[tuple[list[int], list[object], int]] = []
     leads: list[tuple[int, int]] = []
-    for g in ideal.generators:
+    for g, values in zip(ideal.generators, ideal._vectors):
         e = d - g.degree
         if e < 0:
             continue
         tkeys = [sum(map(operator.mul, t, powers)) for t in g.terms]
-        ints, gaussian = _integer_rows([dict(enumerate(g.terms.values()))])
-        values = list(g.terms.values() if gaussian else ints[0].values())
         skip = {lk + mk for ldeg, lk in leads if ldeg <= e for mk in keys[e - ldeg]}
         for mk in keys[e]:
             if mk in skip:
@@ -608,6 +641,30 @@ def hilbert_record(ideal: GradedIdeal, d: int, mode: str = "exact") -> HilbertRe
     return HilbertRecord(d, h_ideal, total - h_ideal)
 
 
+def hilbert_records(ideal: GradedIdeal, d_max: int, mode: str = "exact", d_min: int = 0) -> list[HilbertRecord]:
+    """``hilbert_record`` at every degree d_min <= d <= d_max, in one pass.
+
+    The degrees are taken in ascending order until one gives
+    H_{R/I}(d) = 0.  Every later degree d' is then filled as
+    H_I(d') = C(n-1+d', d') and H_{R/I}(d') = 0, with no rows built and no
+    elimination.  Proof: H_{R/I}(d) = 0 means I_d = R_d.  Since I is an
+    ideal, I_{d+1} contains z_1*I_d + ... + z_n*I_d = z_1*R_d + ... +
+    z_n*R_d = R_{d+1}, as every monomial of degree d+1 is z_i times one of
+    degree d; induction on d' does the rest.  The argument uses only that
+    I is an ideal, not Macaulay's theorem, so no bound that the caller
+    goes on to check is assumed.  It holds over Q and Q(i) alike, and in
+    both modes: a filled degree is proven, so neither mode checks it
+    modulo a prime.
+    """
+    records: list[HilbertRecord] = []
+    for d in range(d_min, d_max + 1):
+        if records and records[-1].h_quotient == 0:
+            records.append(HilbertRecord(d, math.comb(ideal.n_vars - 1 + d, d), 0))
+        else:
+            records.append(hilbert_record(ideal, d, mode=mode))
+    return records
+
+
 def macaulay_bound_quotient(h_d: int, d: int) -> int:
     """Largest permitted H_{R/I}(d+1) given H_{R/I}(d) = h_d: apply the
     (1,1) shift to the d-th representation of h_d."""
@@ -642,7 +699,7 @@ def verify_macaulay(ideal: GradedIdeal, d_max: int, mode: str = "exact") -> list
         raise ValueError(f"d_max must be >= 2 to check any degree, got {d_max}")
     if ideal.n_vars < 2:
         raise ValueError("growth bounds need at least 2 variables")
-    records = [hilbert_record(ideal, d, mode=mode) for d in range(1, d_max + 1)]
+    records = hilbert_records(ideal, d_max, mode=mode, d_min=1)
     checks = []
     for rec, nxt in zip(records, records[1:]):
         forward_ok = nxt.h_ideal >= macaulay_bound_ideal(rec.h_ideal, ideal.n_vars)

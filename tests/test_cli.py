@@ -248,6 +248,7 @@ BIFORM_TERM = '{"alpha": [1, 0], "beta": [1, 0], "coeff": {"re": %s, "im": "0"}}
         ("verify", "[1, 2]"),
         ("verify", '{"n_vars": 2, "generators": [[{"coeff": 0.1, "exponents": [1, 0]}]]}'),
         ("verify", '{"n_vars": 2.5, "generators": []}'),
+        ("hilbert", '{"n_vars": 0, "generators": []}'),
         ("hermitian", '{"n_vars": 2, "d": 1, "terms": [%s]}' % (BIFORM_TERM % '"1/0"')),
         ("hermitian", '{"n_vars": 2, "d": 1, "terms": 5}'),
         ("hermitian", "[1, 2]"),

@@ -6,10 +6,16 @@ full matrix with ``graded_piece_dim``.  Dense random generators almost
 never expose a wrong pruning rule, so the inputs are mostly sparse, repeat
 and scale generators, let generators share a leading monomial, and
 include factors of binomials.
+
+The one-pass Hilbert records, which fill every degree after the quotient
+vanishes without elimination, are checked against the records of single
+degrees.
 """
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +23,18 @@ from macaulay import poly
 from macaulay.cli import main
 from macaulay.hermitian import GaussianRational
 from macaulay.oracle import brute_hilbert_monomial
-from macaulay.poly import GradedIdeal, HomogPoly, exact_rank, format_ideal, graded_piece_dim, monomial_poly, variable
+from macaulay.poly import (
+    GradedIdeal,
+    HomogPoly,
+    exact_rank,
+    format_ideal,
+    graded_piece_dim,
+    hilbert_record,
+    hilbert_records,
+    monomial_poly,
+    variable,
+    verify_macaulay,
+)
 
 # (z1^2 - z1*z2 + z2^2, z1 - z2) in 2 variables
 CYCLOTOMIC = GradedIdeal(2, (
@@ -158,3 +175,72 @@ def test_modular_checked_catches_a_pruned_needed_row(capsys, monkeypatch, tmp_pa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: exact rank ")
+
+
+@st.composite
+def vanishing_ideals(draw):
+    """Ideals whose quotient vanishes at some degree: pure powers c*z_i^k
+    (k <= 3), n dense forms of degree 1-2 in n variables (a regular
+    sequence for most coefficients), or (z_1, ..., z_n)."""
+    n = draw(st.integers(2, 4))
+    gaussian = draw(st.booleans())
+    kind = draw(st.sampled_from(("pure-powers", "dense", "maximal")))
+    if kind == "maximal":
+        return GradedIdeal(n, tuple(variable(i, n) for i in range(n)))
+    gens = []
+    for i in range(n):
+        if kind == "pure-powers":
+            gens.append(monomial_poly([draw(st.integers(1, 3)) if j == i else 0 for j in range(n)],
+                                      draw(scalar(gaussian))))
+        else:
+            degree = draw(st.integers(1, 2))
+            gens.append(HomogPoly(n, degree, {m: draw(scalar(gaussian)) for m in poly.monomials_of_degree(n, degree)}))
+    return GradedIdeal(n, tuple(draw(st.permutations(gens))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ideals(), vanishing_ideals()), st.integers(0, 6), st.integers(0, 6),
+       st.sampled_from(("exact", "modular-checked")))
+@example(GradedIdeal(2, (variable(0, 2),)), 0, 4, "exact")
+def test_one_pass_records_equal_hilbert_record_at_every_degree(ideal, d_min, d_max, mode):
+    """The degrees after H_{R/I} reaches 0 are filled, not eliminated, and
+    agree with the eliminated values; (z1) in 2 variables keeps a quotient
+    of dimension 1 at every degree."""
+    if ideal.n_vars == 4:
+        d_max = min(d_max, 5)
+    want = [hilbert_record(ideal, d, mode=mode) for d in range(d_min, d_max + 1)]
+    assert hilbert_records(ideal, d_max, mode=mode, d_min=d_min) == want
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular-checked"])
+def test_no_elimination_after_the_quotient_vanishes(monkeypatch, mode):
+    maximal = GradedIdeal(3, tuple(variable(i, 3) for i in range(3)))
+    degrees = []
+    true_dim = poly.graded_piece_dim
+
+    def counted(ideal, d, mode="exact"):
+        degrees.append(d)
+        return true_dim(ideal, d, mode=mode)
+
+    monkeypatch.setattr(poly, "graded_piece_dim", counted)
+    records = hilbert_records(maximal, 6, mode=mode)
+    assert degrees == [0, 1]
+    assert records == [(0, 0, 1)] + [(d, math.comb(2 + d, d), 0) for d in range(1, 7)]
+    degrees.clear()
+    assert all(all(check[1:]) for check in verify_macaulay(maximal, 6, mode=mode))
+    assert degrees == [1]
+
+
+@pytest.mark.parametrize("ideal", [
+    CYCLOTOMIC,
+    GradedIdeal(3, (HomogPoly(3, 2, {(2, 0, 0): Fraction(3, 2), (0, 1, 1): Fraction(-9, 4), (0, 0, 2): 6}),
+                    HomogPoly(3, 1, {(1, 0, 0): GaussianRational(1, 2), (0, 1, 0): 3}),
+                    HomogPoly(3, 2, {(0, 2, 0): 2, (1, 0, 1): Fraction(4, 3)}))),
+])
+def test_a_second_pass_on_one_ideal_gives_the_same_values(ideal):
+    """The converted generators are cached on the ideal; a pass must leave
+    them as it found them, which a fresh equal ideal shows."""
+    fresh = GradedIdeal(ideal.n_vars, ideal.generators)
+    first = verify_macaulay(ideal, 6, mode="modular-checked")
+    assert verify_macaulay(ideal, 6) == first
+    assert hilbert_records(ideal, 6) == hilbert_records(fresh, 6)

@@ -78,6 +78,15 @@ def test_graded_ideal_validation():
     assert GradedIdeal.zero(2).generators == ()
 
 
+def test_graded_ideal_needs_a_variable():
+    for make in (lambda: GradedIdeal(0, ()), lambda: GradedIdeal.zero(0),
+                 lambda: parse_ideal('{"n_vars": 0, "generators": []}')):
+        with pytest.raises(ValueError, match="^need at least one variable, got 0$"):
+            make()
+    with pytest.raises(ValueError, match="^need at least one variable, got -2$"):
+        GradedIdeal.zero(-2)
+
+
 def test_graded_piece_dim_worked_values():
     z1, z2 = variable(0, 2), variable(1, 2)
     assert graded_piece_dim(GradedIdeal(2, (z1,)), 3) == 3

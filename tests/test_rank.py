@@ -5,6 +5,7 @@ rows go through a fraction-free elimination over Z[i] that reads each row
 as last written several steps back, so sparse rows that skip pivot
 columns get a property of their own."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,16 @@ def sparse_rows(draw, matrix):
     return rows
 
 
+def integer_pair_rows(matrix):
+    """Each row times the lcm of its denominators, which keeps the rank, as
+    ``{column: (re, im)}`` int pairs: the rows ``biform_rank`` hands over."""
+    rows = []
+    for row in matrix:
+        den = math.lcm(*(x.denominator for pair in row for x in pair))
+        rows.append({c: (int(re * den), int(im * den)) for c, (re, im) in enumerate(row) if re or im})
+    return rows
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_exact_rank_matches_gauss_jordan_oracle(data):
@@ -151,6 +162,13 @@ def test_exact_rank_matches_gauss_jordan_oracle(data):
     assert exact_rank(rows) == r
     # a modular rank is a lower bound, also through the real embedding
     assert rank_mod_prime(rows, RANK_PRIMES[r % 3]) <= r
+    # int pairs: a real matrix's pairs are all (v, 0), and turning some of
+    # its rows by i, a unit, puts real rows in a Gaussian matrix
+    turns = data.draw(st.lists(st.sampled_from(((1, 0), (0, 1), (1, 1))), min_size=len(edited),
+                               max_size=len(edited)))
+    turned = [[c_mul(tuple(map(Fraction, t)), x) for x in row] for t, row in zip(turns, edited)]
+    assert exact_rank(integer_pair_rows(edited)) == r
+    assert exact_rank(integer_pair_rows(turned)) == r
 
 
 gaussian_entries = st.builds(
@@ -188,6 +206,16 @@ def sparse_gaussian_matrices(draw):
 def test_gaussian_elimination_on_sparse_rows_matches_gauss_jordan_oracle(matrix):
     rows = [{c: GaussianRational(*x) for c, x in enumerate(row) if x != ZERO} for row in matrix]
     assert exact_rank(rows) == oracle_rank(matrix)
+
+
+def test_integer_pair_rows_worked_values():
+    # a real (v, 0) row inside a Gaussian matrix: (1+i, 2) and (2, 4) are independent
+    assert exact_rank([{0: (1, 1), 1: (2, 0)}, {0: (2, 0), 1: (4, 0)}, {1: (6, 0)}]) == 2
+    assert exact_rank([{0: (1, 1), 1: (2, 0)}, {0: (2, 2), 1: (4, 0)}]) == 1
+    # all pairs real: the rank over Q, (0, 0) pairs and zero rows ignored
+    assert exact_rank([{0: (2, 0), 1: (4, 0)}, {0: (3, 0), 1: (6, 0), 2: (0, 0)}, {2: (0, 0)}]) == 1
+    # mixed with other scalar types in one row
+    assert exact_rank([{0: (1, 1), 1: Fraction(1, 2)}, {0: GaussianRational(2, 2), 1: 1}]) == 1
 
 
 def test_an_inexact_bareiss_division_raises(monkeypatch):
