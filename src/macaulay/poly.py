@@ -259,9 +259,7 @@ def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, obj
     Each row is scaled by the lcm of its denominators and divided by the
     gcd of the results.  A row whose values are all nonzero ``int``s (the
     graded-piece rows of a rational generator) is only divided by its gcd,
-    and so is a row whose values are all ``(re, im)`` pairs of ints (the
-    rows of a Gaussian biform), with one gcd over both parts.  Either way
-    the output is a new dict: the input rows are never the output rows,
+    and always into a new dict: the input rows are never the output rows,
     so the kernels may consume the output while the caller reads its rows
     again, as the modular-checked mode does.  Zero rows are dropped;
     duplicate rows are kept, since elimination reduces them to zero.  If
@@ -275,12 +273,6 @@ def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, obj
         if row and all(type(v) is int and v for v in row.values()):
             content = math.gcd(*row.values())
             scaled.append(({c: v // content for c, v in row.items()} if content != 1 else dict(row), False))
-            continue
-        if row and all(type(v) is tuple for v in row.values()):
-            content = math.gcd(*[x for pair in row.values() for x in pair])
-            if content:
-                scaled.append(({c: (a // content, b // content) for c, (a, b) in row.items() if a or b}, True))
-                gaussian = gaussian or any(b for _, b in row.values())
             continue
         parts: dict[int, tuple[object, object]] = {}
         for c, v in row.items():
@@ -641,8 +633,8 @@ def hilbert_record(ideal: GradedIdeal, d: int, mode: str = "exact") -> HilbertRe
     return HilbertRecord(d, h_ideal, total - h_ideal)
 
 
-def hilbert_records(ideal: GradedIdeal, d_max: int, mode: str = "exact", d_min: int = 0) -> list[HilbertRecord]:
-    """``hilbert_record`` at every degree d_min <= d <= d_max, in one pass.
+def hilbert_records(ideal: GradedIdeal, d_max: int, mode: str = "exact") -> list[HilbertRecord]:
+    """``hilbert_record`` at every degree 0 <= d <= d_max, in one pass.
 
     The degrees are taken in ascending order until one gives
     H_{R/I}(d) = 0.  Every later degree d' is then filled as
@@ -657,7 +649,7 @@ def hilbert_records(ideal: GradedIdeal, d_max: int, mode: str = "exact", d_min: 
     modulo a prime.
     """
     records: list[HilbertRecord] = []
-    for d in range(d_min, d_max + 1):
+    for d in range(d_max + 1):
         if records and records[-1].h_quotient == 0:
             records.append(HilbertRecord(d, math.comb(ideal.n_vars - 1 + d, d), 0))
         else:
@@ -699,7 +691,7 @@ def verify_macaulay(ideal: GradedIdeal, d_max: int, mode: str = "exact") -> list
         raise ValueError(f"d_max must be >= 2 to check any degree, got {d_max}")
     if ideal.n_vars < 2:
         raise ValueError("growth bounds need at least 2 variables")
-    records = hilbert_records(ideal, d_max, mode=mode, d_min=1)
+    records = hilbert_records(ideal, d_max, mode=mode)[1:]
     checks = []
     for rec, nxt in zip(records, records[1:]):
         forward_ok = nxt.h_ideal >= macaulay_bound_ideal(rec.h_ideal, ideal.n_vars)
