@@ -251,6 +251,8 @@ def cmd_min_sos(path: str, l_max: int) -> Report:
 def cmd_corpus(args: argparse.Namespace) -> Report:
     if args.d_max < 2:
         raise ValueError(f"--d-max must be >= 2 to check any degree, got {args.d_max}")
+    if args.lex_probe and (args.lex_probe[0] < 2 or args.lex_probe[1] < 1):
+        raise ValueError("--lex-probe needs N >= 2 and D >= 1 to probe any bound, got {}, {}".format(*args.lex_probe))
     spec = oracle.CorpusSpec(
         n_vars=(args.n_min, args.n_max),
         gens=(args.gens_min, args.gens_max),

@@ -212,17 +212,9 @@ class HermitianBiform:
         dim = len(basis)
         if len(matrix) != dim or any(len(row) != dim for row in matrix):
             raise ValueError(f"matrix must be {dim}x{dim} for n={n_vars}, d={half_degree}")
-        coerced = [[GaussianRational.of(v) for v in row] for row in matrix]
-        den = math.lcm(*(v.denominator for row in coerced for z in row for v in (z.re, z.im)))
-        re = [[z.re.numerator * (den // z.re.denominator) for z in row] for row in coerced]
-        im = [[z.im.numerator * (den // z.im.denominator) for z in row] for row in coerced]
-        for i in range(dim):
-            for j in range(i, dim):
-                if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
-                    raise ValueError(
-                        f"matrix is not Hermitian at ({i},{j}): "
-                        f"{coerced[i][j]} vs conj({coerced[j][i]})"
-                    )
+        re, im, den = _scaled(v for row in matrix for v in row)
+        re, im = ([part[k:k + dim] for k in range(0, dim * dim, dim)] for part in (re, im))
+        _require_hermitian(den, re, im)
         self._store(n_vars, half_degree, den, re, im)
 
     @classmethod
@@ -265,6 +257,25 @@ class HermitianBiform:
 
     def __repr__(self) -> str:
         return f"HermitianBiform(n_vars={self.n_vars}, d={self.half_degree}, dim={self.dim})"
+
+
+def _scaled(values: Iterable) -> tuple[list[int], list[int], int]:
+    """Exact scalars as (re, im, den): int lists with value k equal to
+    (re[k] + i*im[k]) / den, over the least positive common denominator."""
+    parts = [GaussianRational.of(v) for v in values]
+    den = math.lcm(*(x.denominator for z in parts for x in (z.re, z.im)))
+    re = [z.re.numerator * (den // z.re.denominator) for z in parts]
+    return re, [z.im.numerator * (den // z.im.denominator) for z in parts], den
+
+
+def _require_hermitian(den: int, re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]) -> None:
+    """Raise ``ValueError`` naming the first cell (i, j), i <= j, where the
+    matrix (re + i*im) / den is not its own conjugate transpose."""
+    for i in range(len(re)):
+        for j in range(i, len(re)):
+            if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
+                a, b = (GaussianRational(Fraction(re[r][c], den), Fraction(im[r][c], den)) for r, c in ((i, j), (j, i)))
+                raise ValueError(f"matrix is not Hermitian at ({i},{j}): {a} vs conj({b})")
 
 
 def zero_biform(n_vars: int, d: int) -> HermitianBiform:
@@ -311,24 +322,41 @@ def biform_terms(form: HermitianBiform) -> list[tuple[Monomial, Monomial, Gaussi
 def recompose_squares(
     n_vars: int, d: int, weighted: Iterable[tuple[object, HomogPoly]]
 ) -> HermitianBiform:
-    """Sum of ``weight * |poly|^2`` as a biform; the exact inverse of
-    :func:`decompose`.
+    """Sum of ``weight * |poly|^2`` as a biform, on ints; the exact inverse
+    of :func:`decompose`.
 
-    Each square adds the terms (alpha, beta, weight * c_alpha *
-    conj(c_beta)) over every pair of its monomials, and
-    :func:`biform_from_terms` sums them.  Raises if a polynomial, zero or
+    Write each polynomial as P / dp, P a Gaussian-integer vector over the
+    lcm dp of its denominators, and each weight as (wr + i*wi) / wd.  Then
+    weight * p_alpha * conj(p_beta) = f * P_alpha * conj(P_beta) / D with
+    D = lcm of all wd * dp^2 and f = (wr + i*wi) * (D / (wd * dp^2)), so the
+    sum is (re + i*im) / D with int matrices and no rational per pair.  A
+    real weight adds f * P P^H, which is Hermitian.  A non-real one need
+    not, so the sum gets the constructor's int check
+    (:func:`_require_hermitian`): non-real weights that cancel pass, others
+    raise ``ValueError`` naming the cell.  Raises if a polynomial, zero or
     not, has the wrong variable count or degree.
     """
-    weighted = list(weighted)
-    # checked here: a zero polynomial adds no term that could fail the check
-    if any(p.n_vars != n_vars or p.degree != d for _, p in weighted):
-        raise ValueError("square term has wrong variables or degree")
-    return biform_from_terms(n_vars, d, (
-        (alpha, beta, weight * ca * cb.conjugate())
-        for weight, p in weighted
-        for alpha, ca in p.terms.items()
-        for beta, cb in p.terms.items()
-    ))
+    index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d))}
+    squares = []
+    for weight, p in weighted:
+        if p.n_vars != n_vars or p.degree != d:
+            raise ValueError("square term has wrong variables or degree")
+        (wr,), (wi,), wd = _scaled([weight])
+        pr, pi, dp = _scaled(p.terms.values())
+        squares.append((wr, wi, wd * dp * dp, [index[m] for m in p.terms], pr, pi))
+    den = math.lcm(*(sq[2] for sq in squares))
+    re = [[0] * len(index) for _ in index]
+    im = [[0] * len(index) for _ in index]
+    for wr, wi, sd, cols, pr, pi in squares:
+        fr, fi = wr * (den // sd), wi * (den // sd)
+        for a, ar, ai in zip(cols, pr, pi):
+            ur, ui = fr * ar - fi * ai, fr * ai + fi * ar  # f * P_alpha
+            rr, ri = re[a], im[a]
+            for b, br, bi in zip(cols, pr, pi):
+                rr[b] += ur * br + ui * bi
+                ri[b] += ui * br - ur * bi
+    _require_hermitian(den, re, im)
+    return HermitianBiform._from_ints(n_vars, d, den, re, im)
 
 
 def biform_from_squares(
@@ -338,8 +366,7 @@ def biform_from_squares(
     minus: Sequence[HomogPoly] = (),
 ) -> HermitianBiform:
     """The biform sum |p_1|^2 + ... + |p_k|^2 - |q_1|^2 - ... - |q_m|^2."""
-    weighted = [(Fraction(1), p) for p in plus] + [(Fraction(-1), q) for q in minus]
-    return recompose_squares(n_vars, d, weighted)
+    return recompose_squares(n_vars, d, [(1, p) for p in plus] + [(-1, q) for q in minus])
 
 
 def biform_rank(form: HermitianBiform) -> int:
@@ -747,22 +774,18 @@ def verify_ideal_containment(
 
 def format_biform(form: HermitianBiform) -> str:
     """Serialize to the shared JSON document.  Only the upper triangle is
-    written; parsing restores the rest by Hermitian completion.  All
-    rationals are "p/q" strings, so the round trip is bit exact."""
-    basis = form.basis
-    matrix = form.matrix
-    terms = []
-    for i in range(form.dim):
-        for j in range(i, form.dim):
-            v = matrix[i][j]
-            if v:
-                terms.append(
-                    {
-                        "alpha": list(basis[i]),
-                        "beta": list(basis[j]),
-                        "coeff": {"re": str(v.re), "im": str(v.im)},
-                    }
-                )
+    written, straight from (den, re, im); parsing restores the rest by
+    Hermitian completion.  All rationals are "p/q" strings, so the round
+    trip is bit exact."""
+    basis, den, re = form.basis, form.den, form.re
+    im = form.im or ((0,) * form.dim,) * form.dim
+    part = str if den == 1 else lambda v: str(Fraction(v, den))
+    terms = [
+        {"alpha": list(basis[i]), "beta": list(basis[j]), "coeff": {"re": part(re[i][j]), "im": part(im[i][j])}}
+        for i in range(form.dim)
+        for j in range(i, form.dim)
+        if re[i][j] or im[i][j]
+    ]
     doc = {"n_vars": form.n_vars, "d": form.half_degree, "terms": terms}
     return json.dumps(doc, indent=2)
 

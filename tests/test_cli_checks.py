@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from macaulay import binom, hermitian, poly
+from macaulay import binom, hermitian, oracle, poly
 from macaulay.cli import main
 from macaulay.hermitian import GaussianRational, biform_from_terms, format_biform, zero_biform
 from macaulay.poly import RANK_PRIMES, GradedIdeal, format_ideal, graded_piece_dim, variable
@@ -169,3 +169,19 @@ def test_smallest_scan_ranges_that_check_something(capsys, tmp_path):
     ):
         assert main(["--format", "structured", *argv]) == 0
         assert json.loads(capsys.readouterr().out)["verdicts"][verdict] == "ok"
+
+
+@pytest.mark.parametrize("probe", [["0", "3"], ["1", "2"], ["3", "0"], ["2", "-1"]])
+def test_corpus_refuses_an_empty_lex_probe_before_any_work(capsys, monkeypatch, probe):
+    monkeypatch.setattr(oracle, "random_corpus", lambda spec: pytest.fail("generated the corpus"))
+    monkeypatch.setattr(poly, "verify_macaulay", lambda *args, **kwargs: pytest.fail("verified an ideal"))
+    assert main(["corpus", "--d-max", "2", "--lex-probe", *probe]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --lex-probe needs N >= 2 and D >= 1")
+
+
+def test_smallest_lex_probe_still_reports(capsys):
+    assert main(["--format", "structured", "corpus", "--d-max", "2", "--draws", "1", "--lex-probe", "2", "1"]) == 0
+    probe = json.loads(capsys.readouterr().out)["outputs"]["lex_probe"]
+    assert (probe["n_vars"], probe["degree"], probe["total"]) == (2, 1, 2)

@@ -1,9 +1,12 @@
 """Tests for Hermitian biforms: rank, signature, norm products, and bounds."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macaulay.binom import shift_apply
 from macaulay.hermitian import (
@@ -108,6 +111,87 @@ def test_recompose_squares_takes_a_generator():
     weighted = [(Fraction(2), p), (Fraction(-1), q)]
     assert recompose_squares(2, 1, iter(weighted)) == recompose_squares(2, 1, weighted)
     assert biform_signature(recompose_squares(2, 1, weighted)) == (1, 1)
+
+
+COEFFS = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(gauss, st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+              st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))),
+)
+REAL_WEIGHTS = st.sampled_from([1, -1, 3, Fraction(-3, 7), 0, Fraction(1), Fraction(-1)])
+# (c, |c|^2): the square |c * p|^2 is |c|^2 * |p|^2
+SCALES = [(1, 1), (-1, 1), (i, 1), (2, 4), (Fraction(1, 3), Fraction(1, 9)), (gauss(1, 1), 2)]
+
+
+def _polys(n, d, nonzero=False):
+    basis = monomials_of_degree(n, d)
+    terms = st.dictionaries(st.sampled_from(basis), COEFFS.filter(bool), min_size=int(nonzero), max_size=len(basis))
+    return terms.map(lambda t: HomogPoly(n, d, t))
+
+
+@st.composite
+def square_families(draw):
+    """(n, d, weighted, kind): real weights on a pool of polynomials, zero and
+    repeated ones included, plus for the kinds "cancelling" and "not
+    cancelling" a non-real weight on a nonzero polynomial, once with a
+    second square whose imaginary part cancels it and once alone."""
+    n, d = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    pool = draw(st.lists(_polys(n, d), min_size=1, max_size=3))
+    weighted = [(draw(REAL_WEIGHTS), draw(st.sampled_from(pool))) for _ in range(draw(st.integers(0, 4)))]
+    kind = draw(st.sampled_from(["real", "cancelling", "not cancelling"]))
+    if kind != "real":
+        p = draw(_polys(n, d, nonzero=True))
+        b = draw(st.sampled_from([1, -2, Fraction(3, 5)]))
+        weighted.insert(draw(st.integers(0, len(weighted))), (gauss(draw(REAL_WEIGHTS), b), p))
+        if kind == "cancelling":
+            c, norm = draw(st.sampled_from(SCALES))
+            weighted.append((gauss(draw(REAL_WEIGHTS), -b / norm), c * p))
+    return n, d, weighted, kind
+
+
+def _reference_recompose(n, d, weighted):
+    """Sum weight * c_alpha * conj(c_beta) as GaussianRationals into a dense
+    matrix and build it through the public constructor."""
+    index = {m: k for k, m in enumerate(monomials_of_degree(n, d))}
+    matrix = [[GaussianRational() for _ in index] for _ in index]
+    for weight, p in weighted:
+        for alpha, ca in p.terms.items():
+            for beta, cb in p.terms.items():
+                cell = GaussianRational.of(weight) * ca * GaussianRational.of(cb).conjugate()
+                matrix[index[alpha]][index[beta]] += cell
+    return HermitianBiform(n, d, matrix)
+
+
+@given(square_families())
+@settings(max_examples=200, deadline=None)
+def test_recompose_squares_matches_a_rational_reference(family):
+    n, d, weighted, kind = family
+    try:
+        expected = _reference_recompose(n, d, weighted)
+    except ValueError as exc:
+        assert kind == "not cancelling"
+        with pytest.raises(ValueError) as got:
+            recompose_squares(n, d, weighted)
+        assert str(got.value) == str(exc)
+        return
+    assert kind != "not cancelling"
+    assert recompose_squares(n, d, weighted) == expected
+
+
+def test_recompose_squares_worked_values():
+    # 3 |z1/2 + i*z2|^2 - 1/2 |z2/3|^2: entries 3/4, -3i/2, 3i/2 and 3 - 1/18 = 53/18
+    p = HomogPoly(2, 1, {(1, 0): Fraction(1, 2), (0, 1): i})
+    q = HomogPoly(2, 1, {(0, 1): Fraction(1, 3)})
+    form = recompose_squares(2, 1, [(3, p), (Fraction(-1, 2), q)])
+    assert form.matrix == (
+        (gauss(Fraction(3, 4)), gauss(0, Fraction(-3, 2))),
+        (gauss(0, Fraction(3, 2)), gauss(Fraction(53, 18))),
+    )
+    assert (form.den, form.re, form.im) == (36, ((27, 0), (0, 106)), ((0, -54), (54, 0)))
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian at \(0,0\): 1/4i vs conj\(1/4i\)$"):
+        recompose_squares(2, 1, [(i, p)])
+    assert recompose_squares(2, 1, [(i, p), (-i, p), (2, HomogPoly.zero(2, 1))]) == zero_biform(2, 1)
 
 
 def test_biform_rank_worked_values():
@@ -589,6 +673,55 @@ def test_format_biform_bytes_are_stable():
     form = HermitianBiform(2, 1, [[Fraction(1, 2), c], [c.conjugate(), -3]])
     assert format_biform(form) == FIXED_FORM_TEXT
     assert parse_biform(FIXED_FORM_TEXT) == form
+
+
+def _matrix_format_biform(form):
+    """``format_biform`` as written when it read ``form.matrix``; the bytes
+    of the two must be equal."""
+    basis = form.basis
+    matrix = form.matrix
+    terms = []
+    for r in range(form.dim):
+        for c in range(r, form.dim):
+            v = matrix[r][c]
+            if v:
+                terms.append(
+                    {
+                        "alpha": list(basis[r]),
+                        "beta": list(basis[c]),
+                        "coeff": {"re": str(v.re), "im": str(v.im)},
+                    }
+                )
+    doc = {"n_vars": form.n_vars, "d": form.half_degree, "terms": terms}
+    return json.dumps(doc, indent=2)
+
+
+@st.composite
+def hermitian_forms(draw):
+    """Hermitian forms with int, rational or Gaussian entries, so den 1 and
+    den > 1, real and non-real, and many zero entries."""
+    n, d = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    dim = len(monomials_of_degree(n, d))
+    entries = draw(st.sampled_from([st.integers(-3, 3), COEFFS]))
+    entries = st.one_of(st.just(0), entries)
+    rows = [[GaussianRational() for _ in range(dim)] for _ in range(dim)]
+    for r in range(dim):
+        rows[r][r] = GaussianRational.of(draw(entries)).re
+        for c in range(r + 1, dim):
+            rows[r][c] = GaussianRational.of(draw(entries))
+            rows[c][r] = rows[r][c].conjugate()
+    return HermitianBiform(n, d, rows)
+
+
+@given(hermitian_forms())
+@example(zero_biform(2, 1))
+@example(zero_biform(3, 2))
+@example(biform_from_terms(2, 1, [((1, 0), (0, 1), i), ((0, 1), (1, 0), -i)]))
+@settings(max_examples=150, deadline=None)
+def test_format_biform_matches_the_matrix_formatter(form):
+    text = format_biform(form)
+    assert text == _matrix_format_biform(form)
+    assert parse_biform(text) == form
 
 
 def test_parse_biform_hermitian_completion():
