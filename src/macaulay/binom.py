@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
 def binom_coeff(a: int, b: int) -> int:
@@ -149,16 +149,103 @@ def scan_split_shift_identity(m_max: int, d_max: int, s_max: int) -> list[tuple[
     """Exhaustively test split_shift_identity over all splits for every
     1 <= m <= m_max, 1 <= d <= d_max, 1 <= s <= s_max.
 
-    Returns the list of failing (a, b, m, d, s) tuples, empty on success.
+    Returns the list of failing (a, b, m, d, s) tuples, empty on success,
+    ordered by m, then d, then s, then a.
     """
+    shifts = range(1, s_max + 1)
     failures = []
     for m in range(1, m_max + 1):
         for d in range(1, d_max + 1):
-            total = math.comb(m + d, d)
-            for s in range(1, s_max + 1):
-                for a in range(total + 1):
-                    if not split_shift_identity(a, total - a, m, d, s):
-                        failures.append((a, total - a, m, d, s))
+            failures += _split_failures(m, d, shifts)
+    return failures
+
+
+def _macaulay_walk(n: int, count: int) -> list[tuple[tuple[int, int], ...]]:
+    """The n-th Macaulay representations of 0, 1, ..., count, in order.
+
+    Entry a equals ``macaulay_rep(a, n).terms``.  Each representation is
+    built from the one before; with terms (a_n, n), ..., (a_delta, delta)
+    for a, the successor a + 1 is:
+
+    * from 0 (no terms): ``[(n, n)]``, since C(n, n) = 1;
+    * delta >= 2: append (delta-1, delta-1), which adds C(delta-1, delta-1)
+      = 1; a_delta >= delta > delta-1 keeps the upper indices strictly
+      decreasing;
+    * delta = 1: bump (a_1, 1) to (a_1+1, 1), which adds
+      C(a_1+1, 1) - C(a_1, 1) = 1.  While the term before the bumped term
+      (u, j) is (u, j+1), the two merge by Pascal's rule,
+      C(u, j+1) + C(u, j) = C(u+1, j+1), into (u+1, j+1); the term before
+      that has upper index >= u+1, so after the last merge the upper
+      indices strictly decrease again.
+
+    Each result is a valid representation of a + 1 (lower indices strictly
+    decrease from n to some delta >= 1, upper indices strictly decrease,
+    a_j >= j), and the n-th representation is unique, so it is the greedy
+    one ``macaulay_rep`` builds.  Every merge removes a term and every step
+    adds at most one, so the carries cost amortized O(1) per step, as in a
+    binary counter.
+    """
+    terms: list[tuple[int, int]] = []
+    reps: list[tuple[tuple[int, int], ...]] = [()]
+    for _ in range(count):
+        if not terms:
+            terms.append((n, n))
+        elif terms[-1][1] >= 2:
+            delta = terms[-1][1]
+            terms.append((delta - 1, delta - 1))
+        else:
+            u, j = terms.pop()
+            u += 1
+            while terms and terms[-1][0] == u:
+                terms.pop()
+                u, j = u + 1, j + 1
+            terms.append((u, j))
+        reps.append(tuple(terms))
+    return reps
+
+
+class _TermValues(dict):
+    """C(u+t, j+s) for each term (u, j), as in ``shift_apply``, computed on first use."""
+
+    def __init__(self, s: int, t: int) -> None:
+        self.s, self.t = s, t
+
+    def __missing__(self, term: tuple[int, int]) -> int:
+        u, j = term
+        value = self[term] = math.comb(u + self.t, j + self.s)
+        return value
+
+
+def _split_failures(m: int, d: int, shifts: Iterable[int]) -> list[tuple[int, int, int, int, int]]:
+    """Failing (a, b, m, d, s) splits of the split identity, in s then a order.
+
+    For every s in ``shifts`` and every split a + b = C(m+d, d) this is
+    ``split_shift_identity(a, b, m, d, s)``: it checks
+
+        sum C(u+s, j) over rep_m(a)  +  sum C(u+s, j+s) over rep_d(b)
+            ==  C(m+d+s, d+s).
+
+    The representations of 0..C(m+d, d) are walked once per index and
+    reused for every s; each distinct term's value is computed once per s.
+    Every term (u, j) has u >= j >= 1 and every s here is >= 1, so both
+    binomials have 0 <= lower index <= upper index and ``math.comb`` needs
+    none of ``binom_coeff``'s guards.
+    """
+    total = math.comb(m + d, d)
+    reps_m = _macaulay_walk(m, total)
+    reps_d = _macaulay_walk(d, total)
+    failures = []
+    for s in shifts:
+        target = math.comb(m + d + s, d + s)
+        left_term = _TermValues(0, s).__getitem__
+        right_term = _TermValues(s, s).__getitem__
+        left = [sum(map(left_term, rep)) for rep in reps_m]
+        right = [sum(map(right_term, rep)) for rep in reps_d]
+        failures += [
+            (a, total - a, m, d, s)
+            for a, value in enumerate(left)
+            if value + right[total - a] != target
+        ]
     return failures
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .binom import shift_apply
+from .binom import _split_failures, shift_apply
 
 Monomial = tuple[int, ...]
 
@@ -711,12 +711,7 @@ def bridge_identity_check(n_vars: int, d: int) -> bool:
     """
     if n_vars < 2 or d < 1:
         raise ValueError("need n_vars >= 2 and d >= 1")
-    total = math.comb(n_vars - 1 + d, d)
-    target = math.comb(n_vars + d, d + 1)
-    return all(
-        shift_apply(a, n_vars - 1, 0, 1) + shift_apply(total - a, d, 1, 1) == target
-        for a in range(total + 1)
-    )
+    return not _split_failures(n_vars - 1, d, (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macaulay import binom
 from macaulay.binom import (
     MacaulayRep,
     ShiftSpec,
@@ -156,6 +157,55 @@ def test_split_identity_property(m, d, s, data):
 
 def test_scan_split_identity_small():
     assert scan_split_shift_identity(3, 3, 2) == []
+
+
+def test_walk_matches_greedy_representations():
+    for n in range(1, 9):
+        assert binom._macaulay_walk(n, 4999) == [macaulay_rep(a, n).terms for a in range(5000)], n
+
+
+def test_walk_carries_across_a_whole_representation():
+    # C(k, n) - 1 has n terms (k-1, n), ..., (k-n, 1); one more merges them all into (k, n)
+    for n, k in ((1, 4000), (2, 90), (5, 15), (8, 14)):
+        walk = binom._macaulay_walk(n, math.comb(k, n))
+        assert walk[-2] == tuple((k - i, n + 1 - i) for i in range(1, n + 1))
+        assert walk[-1] == ((k, n),)
+
+
+def reference_scan(m_max, d_max, s_max):
+    """The per-split definition: two shift_apply calls per (m, d, s, a)."""
+    failures = []
+    for m in range(1, m_max + 1):
+        for d in range(1, d_max + 1):
+            total = math.comb(m + d, d)
+            for s in range(1, s_max + 1):
+                for a in range(total + 1):
+                    if shift_apply(a, m, 0, s) + shift_apply(total - a, d, s, s) != math.comb(m + d + s, d + s):
+                        failures.append((a, total - a, m, d, s))
+    return failures
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_scan_agrees_with_the_per_split_definition(m_max, d_max, s_max):
+    assert scan_split_shift_identity(m_max, d_max, s_max) == reference_scan(m_max, d_max, s_max)
+
+
+def test_scan_reports_a_planted_fault_in_order(monkeypatch):
+    walk = binom._macaulay_walk
+
+    def faulty_walk(n, count):
+        reps = walk(n, count)
+        if n == 2:
+            reps[2] = ((3, 2),)  # the representation of 3, listed for 2
+        return reps
+
+    monkeypatch.setattr(binom, "_macaulay_walk", faulty_walk)
+    assert scan_split_shift_identity(2, 2, 2) == [
+        (1, 2, 1, 2, 1), (1, 2, 1, 2, 2),
+        (2, 1, 2, 1, 1), (2, 1, 2, 1, 2),
+        (2, 4, 2, 2, 1), (4, 2, 2, 2, 1), (2, 4, 2, 2, 2), (4, 2, 2, 2, 2),
+    ]
 
 
 def test_shift_difference_bound_worked_values():

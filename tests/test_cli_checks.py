@@ -151,7 +151,7 @@ def test_no_scan_verdict_over_an_empty_range(capsys, monkeypatch, tmp_path, argv
     path = tmp_path / "zero.json"
     path.write_text(format_biform(zero_biform(2, 1)))
     for module, name in ((poly, "bridge_identity_check"), (binom, "scan_split_shift_identity"),
-                         (hermitian, "parse_biform")):
+                         (binom, "_split_failures"), (poly, "_split_failures"), (hermitian, "parse_biform")):
         monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
     assert main([a.format(f=path) for a in argv]) == 2
     captured = capsys.readouterr()

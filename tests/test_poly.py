@@ -4,7 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from macaulay import binom
+from macaulay.binom import shift_apply
 from macaulay.poly import (
     GradedIdeal,
     HomogPoly,
@@ -170,6 +174,37 @@ def test_bridge_identity_worked_values():
     assert bridge_identity_check(2, 1)
     assert bridge_identity_check(3, 2)
     assert bridge_identity_check(5, 4)
+    for n_vars, d in ((1, 2), (3, 0)):
+        with pytest.raises(ValueError, match="need n_vars >= 2 and d >= 1"):
+            bridge_identity_check(n_vars, d)
+
+
+def reference_bridge(n_vars, d):
+    """The per-split definition: two shift_apply calls per split A + B."""
+    total = math.comb(n_vars - 1 + d, d)
+    target = math.comb(n_vars + d, d + 1)
+    return all(
+        shift_apply(a, n_vars - 1, 0, 1) + shift_apply(total - a, d, 1, 1) == target
+        for a in range(total + 1)
+    )
+
+
+@given(st.integers(2, 7), st.integers(1, 7))
+@settings(max_examples=30, deadline=None)
+def test_bridge_agrees_with_the_per_split_definition(n_vars, d):
+    assert bridge_identity_check(n_vars, d) == reference_bridge(n_vars, d)
+
+
+def test_bridge_sees_a_planted_fault(monkeypatch):
+    walk = binom._macaulay_walk
+
+    def faulty_walk(n, count):
+        reps = walk(n, count)
+        reps[1] = ((n + 1, n),)  # the representation of n + 1, listed for 1
+        return reps
+
+    monkeypatch.setattr(binom, "_macaulay_walk", faulty_walk)
+    assert not bridge_identity_check(3, 2)
 
 
 def test_exact_rank_basics():
