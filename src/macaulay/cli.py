@@ -7,8 +7,8 @@ are rendered as decimal-free "p/q" strings.
 
 Exit codes: 0 when every verdict is ok or not-applicable, 1 when any
 verdict is violated, 2 on malformed input or usage errors, 3 when an
-internal consistency check fails (an ``ArithmeticError``: a bug, never an
-answer).
+internal consistency check fails (an ``ArithmeticError``) or a lookup
+inside a command does (a ``LookupError``): a bug, never an answer.
 """
 
 from __future__ import annotations
@@ -378,10 +378,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except (ArithmeticError, LookupError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     print(report.to_json() if args.format == "structured" else report.to_text())

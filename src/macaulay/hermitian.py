@@ -30,6 +30,7 @@ from .poly import (
     GradedIdeal,
     HomogPoly,
     Monomial,
+    _exact_parts,
     _json_int,
     _json_list,
     _json_object,
@@ -45,8 +46,8 @@ class GaussianRational:
 
     Parts are stored as int when they arrive as int and as Fraction
     otherwise; all arithmetic is exact either way.  No elimination
-    computes in this class: ``exact_rank`` reads only the ``re`` and ``im``
-    parts of its entries, and the biform kernels run on integer matrices.
+    computes in this class: ``poly._exact_parts`` reads only the ``re`` and
+    ``im`` parts of a scalar, and the kernels run on the integers it gives.
     """
 
     __slots__ = ("re", "im")
@@ -212,7 +213,7 @@ class HermitianBiform:
         dim = len(basis)
         if len(matrix) != dim or any(len(row) != dim for row in matrix):
             raise ValueError(f"matrix must be {dim}x{dim} for n={n_vars}, d={half_degree}")
-        re, im, den = _scaled(v for row in matrix for v in row)
+        re, im, den = _exact_parts(v for row in matrix for v in row)
         re, im = ([part[k:k + dim] for k in range(0, dim * dim, dim)] for part in (re, im))
         _require_hermitian(den, re, im)
         self._store(n_vars, half_degree, den, re, im)
@@ -259,15 +260,6 @@ class HermitianBiform:
         return f"HermitianBiform(n_vars={self.n_vars}, d={self.half_degree}, dim={self.dim})"
 
 
-def _scaled(values: Iterable) -> tuple[list[int], list[int], int]:
-    """Exact scalars as (re, im, den): int lists with value k equal to
-    (re[k] + i*im[k]) / den, over the least positive common denominator."""
-    parts = [GaussianRational.of(v) for v in values]
-    den = math.lcm(*(x.denominator for z in parts for x in (z.re, z.im)))
-    re = [z.re.numerator * (den // z.re.denominator) for z in parts]
-    return re, [z.im.numerator * (den // z.im.denominator) for z in parts], den
-
-
 def _require_hermitian(den: int, re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]) -> None:
     """Raise ``ValueError`` naming the first cell (i, j), i <= j, where the
     matrix (re + i*im) / den is not its own conjugate transpose."""
@@ -289,20 +281,19 @@ def biform_from_terms(
     """Build a biform from (alpha, beta, coeff) triples meaning
     coeff * z^alpha * conj(z)^beta.
 
-    Repeated pairs accumulate.  Unlisted pairs are zero.  Raises if any
-    exponent tuple has the wrong degree or if the assembled matrix fails
-    to be Hermitian.  Only the listed pairs are summed, as exact scalars;
-    the constructor converts the matrix to ints once and checks the
-    symmetry on them.
+    Repeated pairs are summed with ``+``, so their coefficients may not be
+    ``(re, im)`` tuples; unlisted pairs are zero.  Raises if any exponent
+    tuple has the wrong degree or if the assembled matrix fails to be
+    Hermitian.  The constructor converts the matrix to ints once and
+    checks the symmetry on them.
     """
     index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d))}
-    cells: dict[tuple[int, int], GaussianRational] = {}
+    cells: dict[tuple[int, int], object] = {}
     for alpha, beta, coeff in terms:
         alpha, beta = tuple(alpha), tuple(beta)
         if alpha not in index or beta not in index:
             raise ValueError(f"term ({alpha},{beta}) is not of bidegree ({d},{d}) in {n_vars} variables")
         key = index[alpha], index[beta]
-        coeff = GaussianRational.of(coeff)
         cells[key] = cells[key] + coeff if key in cells else coeff
     dim = len(index)
     return HermitianBiform(n_vars, d, [[cells.get((i, j), 0) for j in range(dim)] for i in range(dim)])
@@ -341,8 +332,8 @@ def recompose_squares(
     for weight, p in weighted:
         if p.n_vars != n_vars or p.degree != d:
             raise ValueError("square term has wrong variables or degree")
-        (wr,), (wi,), wd = _scaled([weight])
-        pr, pi, dp = _scaled(p.terms.values())
+        (wr,), (wi,), wd = _exact_parts([weight])
+        pr, pi, dp = _exact_parts(p.terms.values())
         squares.append((wr, wi, wd * dp * dp, [index[m] for m in p.terms], pr, pi))
     den = math.lcm(*(sq[2] for sq in squares))
     re = [[0] * len(index) for _ in index]
@@ -794,25 +785,22 @@ def parse_biform(text: str) -> HermitianBiform:
     """Parse the shared biform document.
 
     Each term is {"alpha": [...], "beta": [...], "coeff": {"re": "p/q",
-    "im": "p/q"}} and contributes coeff * z^alpha * conj(z)^beta.  When
-    only one of a conjugate pair of entries is present, the other is
-    filled in by Hermitian completion; when both are present they must
-    actually be conjugates, or the assembled matrix is rejected.  Every
-    schema fault raises ``ValueError``.
+    "im": "p/q"}} and contributes coeff * z^alpha * conj(z)^beta.  A term
+    whose mirror (beta, alpha) is not listed gets its conjugate there, by
+    Hermitian completion; when both are listed they must actually be
+    conjugates, or the assembled matrix is rejected.  Every schema fault
+    raises ``ValueError``.
     """
     doc = _json_object(json.loads(text), ("n_vars", "d", "terms"), "biform document")
     n_vars = _json_int(doc["n_vars"], "n_vars")
     d = _json_int(doc["d"], "d")
-    entries: dict[tuple[Monomial, Monomial], GaussianRational] = {}
+    terms = []
     for term in _json_list(doc["terms"], "terms"):
         term = _json_object(term, ("alpha", "beta", "coeff"), "term")
         alpha = tuple(_json_int(e, "exponent") for e in _json_list(term["alpha"], "alpha"))
         beta = tuple(_json_int(e, "exponent") for e in _json_list(term["beta"], "beta"))
         coeff = _json_object(term["coeff"], ("re", "im"), "coeff")
-        coeff = GaussianRational(_json_rational(coeff["re"], "re"), _json_rational(coeff["im"], "im"))
-        key = (alpha, beta)
-        entries[key] = entries.get(key, GaussianRational()) + coeff
-    for (alpha, beta), coeff in list(entries.items()):
-        if (beta, alpha) not in entries:
-            entries[(beta, alpha)] = coeff.conjugate()
-    return biform_from_terms(n_vars, d, [(a, b, c) for (a, b), c in entries.items()])
+        terms.append((alpha, beta, GaussianRational(_json_rational(coeff["re"], "re"), _json_rational(coeff["im"], "im"))))
+    listed = {(alpha, beta) for alpha, beta, _ in terms}
+    terms += [(beta, alpha, coeff.conjugate()) for alpha, beta, coeff in terms if (beta, alpha) not in listed]
+    return biform_from_terms(n_vars, d, terms)

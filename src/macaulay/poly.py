@@ -15,7 +15,7 @@ H_{R/I}(d) = 0, every later degree is proven full and filled without
 rows or elimination, so neither mode checks it modulo a prime.
 
 Polynomial coefficients are ``fractions.Fraction``.  Arithmetic uses
-field operations only, and the rank routines read a non-real scalar
+field operations only, and ``_exact_parts`` reads a non-real scalar
 through its ``re``/``im`` parts, so Gaussian-rational coefficients (see
 :mod:`macaulay.hermitian`) work unchanged.  The rows of a graded piece
 hold ints: each rational generator is scaled once per ideal to a
@@ -215,20 +215,14 @@ class GradedIdeal:
         """
         vectors = []
         for g in self.generators:
-            ints, gaussian = _integer_rows([dict(enumerate(g.terms.values()))])
-            vectors.append(list(g.terms.values() if gaussian else ints[0].values()))
+            re, im, _ = _exact_parts(g.terms.values())
+            content = math.gcd(*re)
+            vectors.append(list(g.terms.values()) if any(im) else [a // content for a in re])
         return tuple(vectors)
 
     @classmethod
     def zero(cls, n_vars: int) -> "GradedIdeal":
         return cls(n_vars, ())
-
-    @classmethod
-    def from_generators(cls, gens: Iterable[HomogPoly]) -> "GradedIdeal":
-        gens = tuple(gens)
-        if not gens:
-            raise ValueError("use GradedIdeal.zero for the zero ideal")
-        return cls(gens[0].n_vars, gens)
 
 
 class HilbertRecord(NamedTuple):
@@ -252,6 +246,26 @@ class BoundChecks(NamedTuple):
 # Exact rank machinery
 # ---------------------------------------------------------------------------
 
+def _exact_parts(values: Iterable) -> tuple[list[int], list[int], int]:
+    """Exact scalars as (re, im, den): int lists with value k equal to
+    (re[k] + i*im[k]) / den, over the least positive common denominator.
+    The package's one scalar reader: it takes ints, Fractions, ``(re, im)``
+    pairs of those and objects with such ``re``/``im`` attributes (Gaussian
+    rationals), and raises ``TypeError`` on anything else, floats included."""
+    pairs = []
+    for v in values:
+        if isinstance(v, (int, Fraction)):
+            pairs.append((v, 0))
+            continue
+        re, im = v if type(v) is tuple and len(v) == 2 else (getattr(v, "re", None), getattr(v, "im", None))
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError(f"not an exact scalar: {v!r}")
+        pairs.append((re, im))
+    den = math.lcm(*[x.denominator for pair in pairs for x in pair])
+    re = [a.numerator * (den // a.denominator) for a, _ in pairs]
+    return re, [b.numerator * (den // b.denominator) for _, b in pairs], den
+
+
 def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, object]], bool]:
     """Primitive integer rows spanning the same space, and whether any entry
     is not real.
@@ -268,35 +282,20 @@ def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, obj
     pair of ints, a Gaussian integer, and the gcd runs over both parts.
     """
     scaled: list[tuple[dict[int, object], bool]] = []
-    gaussian = False
     for row in rows:
         if row and all(type(v) is int and v for v in row.values()):
             content = math.gcd(*row.values())
             scaled.append(({c: v // content for c, v in row.items()} if content != 1 else dict(row), False))
             continue
-        parts: dict[int, tuple[object, object]] = {}
-        for c, v in row.items():
-            if isinstance(v, (int, Fraction)):
-                if v:
-                    parts[c] = (v, 0)
-                continue
-            re, im = v if type(v) is tuple else (v.re, v.im)
-            if re or im:
-                parts[c] = (re, im)
-                gaussian = gaussian or bool(im)
-        if not parts:
-            continue
-        den = math.lcm(*[x.denominator for pair in parts.values() for x in pair])
-        pairs = {c: (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
-                 for c, (a, b) in parts.items()}
-        content = math.gcd(*[x for pair in pairs.values() for x in pair])
-        if content != 1:
-            pairs = {c: (a // content, b // content) for c, (a, b) in pairs.items()}
-        scaled.append((pairs, True))
-
-    if gaussian:
+        re, im, _ = _exact_parts(row.values())
+        content = math.gcd(*re, *im)
+        if content and any(im):
+            scaled.append(({c: (a // content, b // content) for c, a, b in zip(row, re, im) if a or b}, True))
+        elif content:
+            scaled.append(({c: a // content for c, a in zip(row, re) if a}, False))
+    if any(paired for _, paired in scaled):
         return [row if paired else {c: (v, 0) for c, v in row.items()} for row, paired in scaled], True
-    return [{c: a for c, (a, _) in row.items()} if paired else row for row, paired in scaled], False
+    return [row for row, _ in scaled], False
 
 
 def _echelon_rank(rows: list[dict[int, int]]) -> int:
@@ -786,7 +785,7 @@ def parse_ideal(text: str) -> GradedIdeal:
             mono = tuple(_json_int(e, "exponent") for e in _json_list(term["exponents"], "exponents"))
             coeff = _json_rational(term["coeff"], "coeff")
             degree = monomial_degree(mono) if degree is None else degree
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+            terms[mono] = terms[mono] + coeff if mono in terms else coeff
         if degree is None:
             raise ValueError("generator with no terms")
         poly = HomogPoly(n_vars, degree, terms)

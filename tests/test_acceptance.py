@@ -21,19 +21,17 @@ from macaulay.hermitian import (
     sos_rank_interval,
     verify_product_rank_bounds,
 )
-from macaulay.oracle import (
-    CorpusSpec,
+from macaulay.oracle import CorpusSpec, random_corpus, random_hermitian_instance
+from macaulay.binom import macaulay_rep
+from macaulay.poly import bridge_identity_check, graded_piece_dim, verify_macaulay
+from references import (
     brute_hilbert_monomial,
     brute_rep_oracle,
     congruence_transform,
     exhaustive_monomial_corpus,
-    random_corpus,
-    random_hermitian_instance,
     random_invertible_matrix,
     random_sos_instance,
 )
-from macaulay.binom import macaulay_rep
-from macaulay.poly import bridge_identity_check, graded_piece_dim, verify_macaulay
 
 
 def _report(name: str, started: float, detail: str = "") -> None:

@@ -185,3 +185,19 @@ def test_smallest_lex_probe_still_reports(capsys):
     assert main(["--format", "structured", "corpus", "--d-max", "2", "--draws", "1", "--lex-probe", "2", "1"]) == 0
     probe = json.loads(capsys.readouterr().out)["outputs"]["lex_probe"]
     assert (probe["n_vars"], probe["degree"], probe["total"]) == (2, 1, 2)
+
+
+@pytest.mark.parametrize("fault", [KeyError((5, 1)), IndexError("list index out of range")])
+def test_lookup_fault_inside_a_command_exits_3(capsys, monkeypatch, fault):
+    """A failed lookup in a kernel is a bug, not bad input: exit 3, not 2."""
+    assert main(["bridge", "4", "4"]) == 0
+    capsys.readouterr()
+
+    def broken(*args):
+        raise fault
+
+    monkeypatch.setattr(poly, "_split_failures", broken)
+    assert main(["bridge", "4", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {fault}\n"

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from macaulay import poly
 from macaulay.cli import main
 from macaulay.hermitian import GaussianRational
-from macaulay.oracle import brute_hilbert_monomial
 from macaulay.poly import (
     GradedIdeal,
     HomogPoly,
@@ -35,6 +34,7 @@ from macaulay.poly import (
     variable,
     verify_macaulay,
 )
+from references import brute_hilbert_monomial
 
 # (z1^2 - z1*z2 + z2^2, z1 - z2) in 2 variables
 CYCLOTOMIC = GradedIdeal(2, (

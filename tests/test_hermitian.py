@@ -36,13 +36,9 @@ from macaulay.hermitian import (
     verify_product_rank_bounds,
     zero_biform,
 )
-from macaulay.oracle import (
-    congruence_transform,
-    random_hermitian_instance,
-    random_invertible_matrix,
-    sos_witness,
-)
+from macaulay.oracle import random_hermitian_instance, sos_witness
 from macaulay.poly import GradedIdeal, HomogPoly, graded_piece_dim, monomial_poly, monomials_of_degree, variable
+from references import congruence_transform, random_invertible_matrix
 
 i = GaussianRational(0, 1)
 

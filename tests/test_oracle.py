@@ -12,19 +12,21 @@ from macaulay.hermitian import (
 from macaulay.oracle import (
     CorpusSpec,
     SplitMix64,
-    brute_hilbert_monomial,
-    brute_rep_oracle,
-    exhaustive_monomial_corpus,
     four_square,
     lex_growth_report,
     lex_segment_ideal,
     random_corpus,
     random_hermitian_instance,
-    random_invertible_matrix,
-    random_sos_instance,
     sos_witness,
 )
 from macaulay.poly import GradedIdeal, exact_rank, graded_piece_dim, monomial_poly, variable
+from references import (
+    brute_hilbert_monomial,
+    brute_rep_oracle,
+    exhaustive_monomial_corpus,
+    random_invertible_matrix,
+    random_sos_instance,
+)
 
 
 def test_splitmix64_reference_sequence():

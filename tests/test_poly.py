@@ -29,7 +29,8 @@ from macaulay.poly import (
     variable,
     verify_macaulay,
 )
-from macaulay.oracle import SplitMix64, brute_hilbert_monomial
+from macaulay.oracle import SplitMix64
+from references import brute_hilbert_monomial
 
 
 def test_monomials_of_degree_small_cases():
@@ -265,7 +266,7 @@ def test_modular_rank_agrees_on_rational_ideals():
 
 
 def test_ideal_monotonicity_for_monomial_ideals():
-    from macaulay.oracle import exhaustive_monomial_corpus
+    from references import exhaustive_monomial_corpus
 
     for ideal in exhaustive_monomial_corpus(max_vars=3, max_gens=2, max_degree=2):
         dims = [graded_piece_dim(ideal, d) for d in range(0, 6)]

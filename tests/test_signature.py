@@ -24,7 +24,8 @@ from macaulay.hermitian import (
     recompose_squares,
     zero_biform,
 )
-from macaulay.oracle import SplitMix64, congruence_transform, random_invertible_matrix
+from macaulay.oracle import SplitMix64
+from references import congruence_transform, random_invertible_matrix
 
 DIAGONAL = [Fraction(-3), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5)]
 PARTS = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(3)])
