@@ -44,17 +44,18 @@ from .poly import (
 class GaussianRational:
     """An exact complex number with rational real and imaginary parts.
 
-    Parts are stored as int when they arrive as int and as Fraction
-    otherwise; all arithmetic is exact either way.  No elimination
-    computes in this class: ``poly._exact_parts`` reads only the ``re`` and
-    ``im`` parts of a scalar, and the kernels run on the integers it gives.
+    Parts are ints or Fractions, stored as they arrive; anything else
+    raises ``TypeError``.  No elimination computes in this class:
+    ``poly._exact_parts`` reads only the ``re`` and ``im`` parts of a
+    scalar, and the kernels run on the integers it gives.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, (int, Fraction)) else Fraction(re)
-        self.im = im if isinstance(im, (int, Fraction)) else Fraction(im)
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError(f"not an exact scalar: {(re, im)!r}")
+        self.re, self.im = re, im
 
     @classmethod
     def of(cls, value) -> "GaussianRational":

@@ -4,9 +4,9 @@ A monomial is an exponent tuple, a polynomial is a dict from exponent
 tuples to nonzero exact coefficients, and the degree-d piece of an ideal
 is the row space of the matrix of the monomial multiples of its
 generators, less the rows that Buchberger's product criterion proves
-redundant.  Dimensions come out of exact elimination on primitive
-integer rows (Gaussian rows by fraction-free elimination over the
-Gaussian integers), so every Hilbert function value is exact; an optional
+redundant.  Dimensions come out of exact elimination on integer rows
+(Gaussian rows by fraction-free elimination over the Gaussian integers),
+so every Hilbert function value is exact; an optional
 mode checks each rank against a modular elimination of the full,
 unpruned matrix over three fixed large primes.
 
@@ -17,10 +17,9 @@ rows or elimination, so neither mode checks it modulo a prime.
 Polynomial coefficients are ``fractions.Fraction``.  Arithmetic uses
 field operations only, and ``_exact_parts`` reads a non-real scalar
 through its ``re``/``im`` parts, so Gaussian-rational coefficients (see
-:mod:`macaulay.hermitian`) work unchanged.  The rows of a graded piece
-hold ints: each rational generator is scaled once per ideal to a
-primitive integer vector (see ``GradedIdeal._vectors``), while a Gaussian
-generator's rows keep its coefficients.
+:mod:`macaulay.hermitian`) work unchanged.  ``GradedIdeal._vectors``
+reads each generator once per ideal, and the rank routines take its
+integer rows as they are.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .binom import _split_failures, shift_apply
@@ -56,15 +56,11 @@ def monomials_of_degree(n_vars: int, d: int) -> tuple[Monomial, ...]:
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     exps = []
-
-    def fill(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            exps.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            fill(prefix + [e], remaining - e, slots - 1)
-
-    fill([], d, n_vars)
+    for variables in combinations_with_replacement(range(n_vars), d):  # a multiset of d variables
+        e = [0] * n_vars
+        for i in variables:
+            e[i] += 1
+        exps.append(tuple(e))
     exps.sort(key=lambda e: e[::-1])
     return tuple(exps)
 
@@ -204,20 +200,24 @@ class GradedIdeal:
 
     @cached_property
     def _vectors(self) -> tuple[list[object], ...]:
-        """Each generator's coefficients in term order, as its graded-piece
-        rows hold them: a rational generator's scaled once to a primitive
-        integer vector, a Gaussian generator's as they are.
+        """Each generator's coefficients in term order, scaled to a primitive
+        integer vector: ints if the ideal is rational, else ``(re, im)`` int
+        pairs for every generator, so a graded piece's rows are one kind.
 
         Computed on first use and then shared by every degree, so a pass
         over the degrees converts each generator once; building an ideal
         converts nothing.  Rows copy the values into new dicts, so no
         kernel ever consumes these lists.
         """
+        parts = [_exact_parts(g.terms.values())[:2] for g in self.generators]
+        gaussian = any(any(im) for _, im in parts)
         vectors = []
-        for g in self.generators:
-            re, im, _ = _exact_parts(g.terms.values())
-            content = math.gcd(*re)
-            vectors.append(list(g.terms.values()) if any(im) else [a // content for a in re])
+        for re, im in parts:
+            content = math.gcd(*re, *im)
+            if gaussian:
+                vectors.append([(a // content, b // content) for a, b in zip(re, im)])
+            else:
+                vectors.append([a // content for a in re])
         return tuple(vectors)
 
     @classmethod
@@ -266,38 +266,6 @@ def _exact_parts(values: Iterable) -> tuple[list[int], list[int], int]:
     return re, [b.numerator * (den // b.denominator) for _, b in pairs], den
 
 
-def _integer_rows(rows: Iterable[dict[int, object]]) -> tuple[list[dict[int, object]], bool]:
-    """Primitive integer rows spanning the same space, and whether any entry
-    is not real.
-
-    Each row is scaled by the lcm of its denominators and divided by the
-    gcd of the results.  A row whose values are all nonzero ``int``s (the
-    graded-piece rows of a rational generator) is only divided by its gcd,
-    and always into a new dict: the input rows are never the output rows,
-    so the kernels may consume the output while the caller reads its rows
-    again, as the modular-checked mode does.  Zero rows are dropped;
-    duplicate rows are kept, since elimination reduces them to zero.  If
-    no entry has a nonzero imaginary part the values are ints; otherwise
-    every row, real ones included, maps each column to an ``(re, im)``
-    pair of ints, a Gaussian integer, and the gcd runs over both parts.
-    """
-    scaled: list[tuple[dict[int, object], bool]] = []
-    for row in rows:
-        if row and all(type(v) is int and v for v in row.values()):
-            content = math.gcd(*row.values())
-            scaled.append(({c: v // content for c, v in row.items()} if content != 1 else dict(row), False))
-            continue
-        re, im, _ = _exact_parts(row.values())
-        content = math.gcd(*re, *im)
-        if content and any(im):
-            scaled.append(({c: (a // content, b // content) for c, a, b in zip(row, re, im) if a or b}, True))
-        elif content:
-            scaled.append(({c: a // content for c, a in zip(row, re) if a}, False))
-    if any(paired for _, paired in scaled):
-        return [row if paired else {c: (v, 0) for c, v in row.items()} for row, paired in scaled], True
-    return [row for row, _ in scaled], False
-
-
 def _echelon_rank(rows: list[dict[int, int]]) -> int:
     """Rank of nonzero integer rows; the rows are consumed.
 
@@ -311,7 +279,9 @@ def _echelon_rank(rows: list[dict[int, int]]) -> int:
 
     One sweep suffices because leads only grow: an updated row has lost
     the pivot column and had no earlier entry, so its new lead lies after
-    the pivot column, in a bucket the sweep has yet to reach.
+    the pivot column, in a bucket the sweep has yet to reach.  A zero
+    pivot entry raises ArithmeticError; any other zero entry leaves the
+    rank true.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
     for row in rows:
@@ -321,11 +291,13 @@ def _echelon_rank(rows: list[dict[int, int]]) -> int:
         bucket = buckets.pop(pcol, None)
         if bucket is None:
             continue
+        prow = min(bucket, key=len)
+        p = prow.pop(pcol)
+        if not p:
+            raise ArithmeticError(f"zero pivot entry in column {pcol}")
         rank += 1
         if len(bucket) == 1:
             continue
-        prow = min(bucket, key=len)
-        p = prow.pop(pcol)
         tail = list(prow.items())
         for row in bucket:
             if row is prow:
@@ -339,11 +311,11 @@ def _echelon_rank(rows: list[dict[int, int]]) -> int:
                 if x:
                     new[c] = x
                 else:
-                    del new[c]
+                    new.pop(c, None)  # absent only beside a zero entry
             if not new:
                 continue
             content = math.gcd(*new.values())
-            if content != 1:
+            if content > 1:  # 0 for a row of zero entries, which the pivot check refuses
                 new = {c: v // content for c, v in new.items()}
             buckets.setdefault(min(new), []).append(new)
     return rank
@@ -396,7 +368,7 @@ def _gaussian_rank(rows: list[dict[int, tuple[int, int]]]) -> int:
     divisions leave no remainder; a nonzero one raises ArithmeticError.
     The entries are (k+1)-minors, bounded by Hadamard's bound.  B_k(R) is
     zero exactly when R lies in the span of P_1..P_k, so the number of
-    steps is the rank.
+    steps is the rank.  Zero entries are treated as in ``_echelon_rank``.
     """
     buckets: dict[int, list[tuple[dict[int, tuple[int, int]], int]]] = {}
     for row in rows:
@@ -409,6 +381,8 @@ def _gaussian_rank(rows: list[dict[int, tuple[int, int]]]) -> int:
         k = len(pivots)
         prow, a_p = min(bucket, key=lambda entry: len(entry[0]))
         pr, pi = prow.pop(pcol)
+        if not (pr or pi):
+            raise ArithmeticError(f"zero pivot entry in column {pcol}")
         # p_k = pi * p_{k-1} / p_{a_P}: the factor at a_R = 0, as p_0 = 1
         gr, gi, norm = _bareiss_factor(pivots, k, a_p, 0)
         (kr, rest_r), (ki, rest_i) = divmod(pr * gr - pi * gi, norm), divmod(pr * gi + pi * gr, norm)
@@ -455,19 +429,17 @@ def _gaussian_rank(rows: list[dict[int, tuple[int, int]]]) -> int:
 
 
 def exact_rank(rows: Iterable[dict[int, object]]) -> int:
-    """Exact rank of a sparse matrix over Q, or over Q(i) for Gaussian entries.
+    """Exact rank of a sparse integer matrix over Q, or Gaussian-integer one over Q(i).
 
-    Rows are ``{column: value}`` dicts whose values are int, Fraction,
-    ``(re, im)`` pairs of ints, or Gaussian rationals (anything else with
-    rational ``re``/``im`` parts).
-    They are made primitive integer vectors, or primitive Gaussian-integer
-    vectors when any entry is not real, and eliminated with integer
-    arithmetic only.  Integer rows go through ``_echelon_rank``: a step
-    changes just the rows that hold the pivot column, each to
-    ``(p/g)*row - (f/g)*prow`` divided by its content.  Gaussian rows go
-    through ``_gaussian_rank``, a fraction-free elimination over Z[i] that
-    also changes only those rows and divides by earlier pivots instead of
-    a content; a division that leaves a remainder raises ArithmeticError.
+    Row values are all nonzero ints or all nonzero ``(re, im)`` int pairs,
+    as the callers convert them where they enter; the first value picks
+    the kernel.  The nonempty rows are copied, so the input is left as it
+    was.  Integer rows go through ``_echelon_rank``: a step changes just the
+    rows that hold the pivot column, each to ``(p/g)*row - (f/g)*prow``
+    divided by its content.  Pair rows go through ``_gaussian_rank``, a
+    fraction-free elimination over Z[i] that also changes only those rows
+    and divides by earlier pivots instead of a content; a division that
+    leaves a remainder raises ArithmeticError.
 
     Entries stay bounded as in fraction-free (Bareiss) elimination.  After
     pivot rows r_1..r_k, a working row of ``_echelon_rank`` is the one
@@ -478,15 +450,16 @@ def exact_rank(rows: Iterable[dict[int, object]]) -> int:
     are (k+1)-minors of the input.  So each working row is the primitive
     part of the Bareiss row, and its entries are bounded by those minors,
     hence by the Hadamard bound; ``_gaussian_rank`` holds the Bareiss rows
-    themselves.  The input rows are left as they were: elimination runs on
-    the new rows of ``_integer_rows``.
+    themselves.
     """
-    int_rows, gaussian = _integer_rows(rows)
-    return _gaussian_rank(int_rows) if gaussian else _echelon_rank(int_rows)
+    rows = [dict(row) for row in rows if row]
+    gaussian = rows and type(next(iter(rows[0].values()))) is tuple
+    return _gaussian_rank(rows) if gaussian else _echelon_rank(rows)
 
 
 def rank_mod_prime(rows: Iterable[dict[int, object]], p: int) -> int:
-    """Rank over GF(p) of the primitive integer rows of ``exact_rank``.
+    """Rank over GF(p) of the integer or Gaussian-integer rows that
+    ``exact_rank`` takes, which are left as they were.
 
     A modular rank never exceeds the rational rank, and equals it unless p
     divides the wrong minors.  Gaussian rows a + ib are eliminated through
@@ -497,16 +470,17 @@ def rank_mod_prime(rows: Iterable[dict[int, object]], p: int) -> int:
     and 1 mod 4.  For Gaussian rows the result is
     ceil(rank_p(embedding) / 2), which is still a lower bound.
     """
-    int_rows, gaussian = _integer_rows(rows)
+    rows = [row for row in rows if row]
+    gaussian = rows and type(next(iter(rows[0].values()))) is tuple
     if gaussian:
         embedded = []
-        for row in int_rows:
+        for row in rows:
             embedded.append({k: v for c, (a, b) in row.items() for k, v in ((2 * c, a), (2 * c + 1, -b))})
             embedded.append({k: v for c, (a, b) in row.items() for k, v in ((2 * c, b), (2 * c + 1, a))})
-        int_rows = embedded
+        rows = embedded
     rank = 0
     pivots: dict[int, dict[int, int]] = {}
-    for row in int_rows:
+    for row in rows:
         row = {c: v % p for c, v in row.items() if v % p}
         while row:
             lead = min(row)
@@ -556,12 +530,11 @@ def _graded_piece_rows(ideal: GradedIdeal, d: int) -> tuple[list[dict[int, objec
     since i < j.  Each m'*s is smaller than m, since grevlex is a monomial
     order, so (m'*s)*g_j lies in that span too.  As c != 0, so does m*g_j.
 
-    The rows of a rational generator are its coefficients scaled once per
-    ideal to a primitive integer vector (``GradedIdeal._vectors``), so
-    ``_integer_rows`` passes them through.
-    Scaling a generator by a nonzero rational leaves every row span
-    unchanged, so every H_I stays exact.  A Gaussian generator keeps its
-    coefficients.  Monomials are packed into the ints
+    The rows of a generator are its coefficients scaled once per ideal to
+    a primitive integer or Gaussian-integer vector (``GradedIdeal._vectors``),
+    which ``exact_rank`` takes as they are.  Scaling a generator by a
+    nonzero scalar leaves every row span unchanged, so every H_I stays
+    exact.  Monomials are packed into the ints
     key(m) = sum of m_i*(d+1)**i: every exponent of a monomial of degree
     <= d is below d+1, so the key is injective there, key(m) + key(t) =
     key(m*t), and keys ascend in monomials_of_degree order, so LM(g) is
@@ -719,12 +692,16 @@ def bridge_identity_check(n_vars: int, d: int) -> bool:
 
 def format_ideal(ideal: GradedIdeal) -> str:
     """Serialize to the shared JSON document; rationals as "p/q" strings,
-    so the round trip is bit exact."""
+    so the round trip is bit exact.  A coefficient that is not an int or a
+    Fraction raises ``TypeError``."""
+    bad = [c for g in ideal.generators for c in g.terms.values() if type(c) not in (int, Fraction)]
+    if bad:
+        raise TypeError(f"not a rational coefficient: {bad[0]!r}")
     doc = {
         "n_vars": ideal.n_vars,
         "generators": [
             [
-                {"coeff": str(Fraction(coeff)), "exponents": list(mono)}
+                {"coeff": str(coeff), "exponents": list(mono)}
                 for mono, coeff in sorted(g.terms.items(), key=lambda kv: kv[0][::-1])
             ]
             for g in ideal.generators

@@ -4,7 +4,9 @@ Each checks a main code path from a different direction: Macaulay
 representations by exhaustive search instead of greedy construction,
 monomial Hilbert values by counting instead of rank, congruences by
 explicit Gaussian-rational matrix products, and sum-of-squares instances
-accepted only through exact signature checks.  Randomness flows through
+accepted only through exact signature checks.  ``integer_rows`` turns
+rows of exact scalars into the integer rows the rank routines take, by
+plain Fraction arithmetic.  Randomness flows through
 ``macaulay.oracle.SplitMix64``, so every instance is reproducible.
 """
 
@@ -105,6 +107,23 @@ def exhaustive_monomial_corpus(max_vars: int = 3, max_gens: int = 3, max_degree:
             for combo in itertools.combinations(pool, size):
                 corpus.append(GradedIdeal(n_vars, tuple(monomial_poly(m) for m in combo)))
     return corpus
+
+
+def integer_rows(rows: list[dict[int, object]]) -> list[dict[int, object]]:
+    """The rows ``exact_rank`` takes, spanning the same space as sparse rows
+    of ints, Fractions and Gaussian rationals: each row times the lcm of its
+    denominators, zero entries and zero rows dropped, as ints when every
+    entry is real and as ``(re, im)`` int pairs otherwise."""
+    split = [{c: (Fraction(getattr(v, "re", v)), Fraction(getattr(v, "im", 0))) for c, v in row.items()}
+             for row in rows]
+    gaussian = any(im for row in split for _, im in row.values())
+    out = []
+    for row in split:
+        den = math.lcm(*(x.denominator for pair in row.values() for x in pair))
+        ints = {c: (int(re * den), int(im * den)) for c, (re, im) in row.items() if re or im}
+        if ints:
+            out.append(ints if gaussian else {c: re for c, (re, _) in ints.items()})
+    return out
 
 
 def random_invertible_matrix(dim: int, seed: int) -> list[list[GaussianRational]]:

@@ -3,7 +3,7 @@ generator, and the rank routines read their rows without changing them.
 
 The row oracle numbers the columns, orders the multipliers, applies the
 product criterion and makes each generator primitive with its own code,
-sharing nothing with ``poly._graded_piece_rows`` or ``poly._integer_rows``.
+sharing nothing with ``poly._graded_piece_rows`` or ``GradedIdeal._vectors``.
 """
 
 import copy
@@ -33,27 +33,33 @@ def grevlex(n: int, k: int) -> list[tuple[int, ...]]:
     return sorted(exponents(k, n), key=lambda m: m[::-1])
 
 
-def primitive(coeffs: list[Fraction]) -> list[int]:
+def primitive(coeffs: list[tuple[Fraction, Fraction]], pairs: bool) -> list:
+    """The coefficients (re, im) times the lcm of their denominators, over
+    the gcd of all the parts: ``(re, im)`` int pairs, or ints."""
     den = 1
     for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
+        for x in c:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+    ints = [(int(re * den), int(im * den)) for re, im in coeffs]
     content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    return [v // content for v in ints]
+    for pair in ints:
+        for v in pair:
+            content = math.gcd(content, v)
+    return [(re // content, im // content) if pairs else re // content for re, im in ints]
 
 
 def expected_rows(ideal: GradedIdeal, d: int):
     """The kept and the skipped rows m*g_j of I_d: a row is skipped when the
-    grevlex leading monomial of an earlier generator divides m."""
+    grevlex leading monomial of an earlier generator divides m.  Every
+    generator holds int pairs if any coefficient of the ideal is not real."""
     column = {m: i for i, m in enumerate(grevlex(ideal.n_vars, d))}
+    parts = [[(Fraction(getattr(c, "re", c)), Fraction(getattr(c, "im", 0))) for c in g.terms.values()]
+             for g in ideal.generators]
+    pairs = any(im for coeffs in parts for _, im in coeffs)
     kept, skipped, leads = [], [], []
-    for g in ideal.generators:
+    for g, coeffs in zip(ideal.generators, parts):
         monos = list(g.terms)
-        coeffs = list(g.terms.values())
-        if not any(isinstance(c, GaussianRational) and c.im for c in coeffs):
-            coeffs = primitive([Fraction(getattr(c, "re", c)) for c in coeffs])
+        coeffs = primitive(coeffs, pairs)
         if g.degree <= d:
             for m in grevlex(ideal.n_vars, d - g.degree):
                 row = {column[tuple(a + b for a, b in zip(m, t))]: c for t, c in zip(monos, coeffs)}
@@ -64,7 +70,8 @@ def expected_rows(ideal: GradedIdeal, d: int):
 
 
 def typed(rows):
-    return [{c: (type(v), v) for c, v in row.items()} for row in rows]
+    """Each value with its type, and the types of a pair's parts."""
+    return [{c: (type(v), v, [type(x) for x in v] if type(v) is tuple else []) for c, v in row.items()} for row in rows]
 
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
@@ -94,8 +101,9 @@ def ideals(draw):
 @settings(max_examples=300, deadline=None)
 @given(ideals(), st.integers(0, 6))
 def test_rows_are_the_primitive_multiples_in_order(ideal, d):
-    """Rows of a rational generator hold ints, those of a Gaussian one its
-    own coefficients; ``typed`` tells an int from an equal Fraction."""
+    """Rows of a rational ideal hold ints, those of an ideal with a non-real
+    coefficient ``(re, im)`` int pairs; ``typed`` tells an int from an equal
+    Fraction, and a pair from a Gaussian rational."""
     kept, skipped = poly._graded_piece_rows(ideal, d)
     want_kept, want_skipped = expected_rows(ideal, d)
     assert typed(kept) == typed(want_kept)
@@ -103,13 +111,15 @@ def test_rows_are_the_primitive_multiples_in_order(ideal, d):
 
 
 def test_rank_routines_leave_their_rows_alone():
-    rows = [{0: 2, 3: 4}, {1: 0, 2: 5}, {0: 1, 1: 3}, {0: 3, 1: 9, 2: -7}, {2: 1}, {}]
-    before = copy.deepcopy(rows)
-    assert exact_rank(rows) == 3
-    assert rows == before
-    for p in RANK_PRIMES:
-        assert rank_mod_prime(rows, p) == 3
-        assert rows == before
+    rows = [{0: 2, 3: 4}, {2: 5}, {0: 1, 1: 3}, {0: 3, 1: 9, 2: -7}, {2: 1}, {}]
+    pairs = [{c: (v, v) if i % 2 else (v, 0) for c, v in row.items()} for i, row in enumerate(rows)]
+    for matrix in (rows, pairs):
+        before = copy.deepcopy(matrix)
+        assert exact_rank(matrix) == 3
+        assert matrix == before
+        for p in RANK_PRIMES:
+            assert rank_mod_prime(matrix, p) == 3
+            assert matrix == before
 
 
 def test_no_columns_when_no_generator_fits(capsys, monkeypatch, tmp_path):

@@ -24,6 +24,7 @@ from references import (
     brute_hilbert_monomial,
     brute_rep_oracle,
     exhaustive_monomial_corpus,
+    integer_rows,
     random_invertible_matrix,
     random_sos_instance,
 )
@@ -134,7 +135,7 @@ def test_random_invertible_matrix_is_invertible():
     for seed in range(8):
         dim = 2 + seed % 4
         c = random_invertible_matrix(dim, seed=seed)
-        rows = [{j: v for j, v in enumerate(row) if v} for row in c]
+        rows = integer_rows([{j: v for j, v in enumerate(row) if v} for row in c])
         assert exact_rank(rows) == dim
 
 

@@ -30,7 +30,7 @@ from macaulay.poly import (
     verify_macaulay,
 )
 from macaulay.oracle import SplitMix64
-from references import brute_hilbert_monomial
+from references import brute_hilbert_monomial, integer_rows
 
 
 def test_monomials_of_degree_small_cases():
@@ -211,13 +211,13 @@ def test_bridge_sees_a_planted_fault(monkeypatch):
 def test_exact_rank_basics():
     assert exact_rank([]) == 0
     assert exact_rank([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1  # proportional rows
-    assert exact_rank([{0: Fraction(1, 2)}, {1: Fraction(3)}]) == 2
+    assert exact_rank(integer_rows([{0: Fraction(1, 2)}, {1: Fraction(3)}])) == 2
     # a rank-2 matrix whose naive elimination needs care with fractions
-    rows = [
+    rows = integer_rows([
         {0: Fraction(1, 3), 1: Fraction(1, 6), 2: Fraction(1, 2)},
         {0: Fraction(2, 3), 1: Fraction(1, 3), 2: Fraction(1)},
         {0: Fraction(1), 1: Fraction(0), 2: Fraction(1)},
-    ]
+    ])
     assert exact_rank(rows) == 2
     for p in RANK_PRIMES:
         assert rank_mod_prime(rows, p) == 2

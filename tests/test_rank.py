@@ -1,9 +1,12 @@
 """Property tests of exact_rank against a Gauss-Jordan oracle that shares no
 code with macaulay.poly: plain Fraction arithmetic over Q, and over Q(i)
-with each entry held as a (real, imaginary) pair of Fractions.  Gaussian
+with each entry held as a (real, imaginary) pair of Fractions.  The rank
+routines take integer rows, so each matrix reaches them scaled row by row
+to ints or to ``(re, im)`` int pairs by this file's own helpers.  Gaussian
 rows go through a fraction-free elimination over Z[i] that reads each row
 as last written several steps back, so sparse rows that skip pivot
-columns get a property of their own."""
+columns get a property of their own.  A zero entry, which no caller
+passes, gives the true rank or raises ArithmeticError."""
 
 import math
 from fractions import Fraction
@@ -13,7 +16,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from macaulay import poly
-from macaulay.hermitian import GaussianRational
 from macaulay.poly import RANK_PRIMES, exact_rank, rank_mod_prime
 
 ZERO = (Fraction(0), Fraction(0))
@@ -110,44 +112,32 @@ def row_edits(draw, matrix, gaussian: bool):
     return draw(st.permutations(out))
 
 
-@st.composite
-def entry(draw, value):
-    """One matrix entry as int, Fraction or GaussianRational."""
-    re, im = value
-    if im:
-        return GaussianRational(re, im)
-    kinds = ["fraction", "gaussian"] + (["int"] if re.denominator == 1 else [])
-    kind = draw(st.sampled_from(kinds))
-    if kind == "int":
-        return int(re)
-    if kind == "fraction":
-        return re
-    return GaussianRational(re, 0)
-
-
-@st.composite
-def sparse_rows(draw, matrix):
-    """Sparse ``{column: value}`` rows over distinct, unordered column ids,
-    mixing scalar types, with some explicit zeros kept."""
-    n = len(matrix[0]) if matrix else 0
-    cols = draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n, unique=True))
-    rows = []
-    for row in matrix:
-        rows.append({
-            cols[j]: draw(entry(v))
-            for j, v in enumerate(row)
-            if v != ZERO or draw(st.booleans())
-        })
-    return rows
-
-
-def integer_pair_rows(matrix):
+def integer_pair_rows(matrix, columns=None):
     """Each row times the lcm of its denominators, which keeps the rank, as
-    ``{column: (re, im)}`` int pairs: the rows ``biform_rank`` hands over."""
+    ``{column: (re, im)}`` int pairs: the rows ``biform_rank`` hands over.
+    Zero entries and zero rows are left out; ``columns`` renames the
+    columns."""
     rows = []
     for row in matrix:
         den = math.lcm(*(x.denominator for pair in row for x in pair))
-        rows.append({c: (int(re * den), int(im * den)) for c, (re, im) in enumerate(row) if re or im})
+        ids = columns or range(len(row))
+        out = {c: (int(re * den), int(im * den)) for c, (re, im) in zip(ids, row) if re or im}
+        if out:
+            rows.append(out)
+    return rows
+
+
+@st.composite
+def sparse_rows(draw, matrix, gaussian: bool):
+    """Integer rows over distinct, unordered column ids, each times a drawn
+    factor so that rows are not primitive: ``(re, im)`` int pairs for a
+    Gaussian matrix and ints for a real one."""
+    n = len(matrix[0]) if matrix else 0
+    cols = draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n, unique=True))
+    rows = []
+    for row in integer_pair_rows(matrix, cols):
+        k = draw(st.sampled_from((1, 1, 2, -3, 6)))
+        rows.append({c: (k * a, k * b) if gaussian else k * a for c, (a, b) in row.items()})
     return rows
 
 
@@ -158,7 +148,7 @@ def test_exact_rank_matches_gauss_jordan_oracle(data):
     assert oracle_rank(matrix) == r
     edited = data.draw(row_edits(matrix, gaussian))
     assert oracle_rank(edited) == r
-    rows = data.draw(sparse_rows(edited))
+    rows = data.draw(sparse_rows(edited, gaussian))
     assert exact_rank(rows) == r
     # a modular rank is a lower bound, also through the real embedding
     assert rank_mod_prime(rows, RANK_PRIMES[r % 3]) <= r
@@ -204,22 +194,20 @@ def sparse_gaussian_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(sparse_gaussian_matrices())
 def test_gaussian_elimination_on_sparse_rows_matches_gauss_jordan_oracle(matrix):
-    rows = [{c: GaussianRational(*x) for c, x in enumerate(row) if x != ZERO} for row in matrix]
-    assert exact_rank(rows) == oracle_rank(matrix)
+    assert exact_rank(integer_pair_rows(matrix)) == oracle_rank(matrix)
 
 
 def test_integer_pair_rows_worked_values():
     # a real (v, 0) row inside a Gaussian matrix: (1+i, 2) and (2, 4) are independent
     assert exact_rank([{0: (1, 1), 1: (2, 0)}, {0: (2, 0), 1: (4, 0)}, {1: (6, 0)}]) == 2
     assert exact_rank([{0: (1, 1), 1: (2, 0)}, {0: (2, 2), 1: (4, 0)}]) == 1
-    # all pairs real: the rank over Q, (0, 0) pairs and zero rows ignored
-    assert exact_rank([{0: (2, 0), 1: (4, 0)}, {0: (3, 0), 1: (6, 0), 2: (0, 0)}, {2: (0, 0)}]) == 1
-    # mixed with other scalar types in one row
-    assert exact_rank([{0: (1, 1), 1: Fraction(1, 2)}, {0: GaussianRational(2, 2), 1: 1}]) == 1
+    # all pairs real: the rank over Q, empty rows ignored
+    assert exact_rank([{0: (2, 0), 1: (4, 0)}, {}, {0: (3, 0), 1: (6, 0), 2: (5, 0)}, {}]) == 2
+    assert exact_rank([{0: (2, 0), 1: (4, 0)}, {0: (3, 0), 1: (6, 0)}]) == 1
 
 
 def test_an_inexact_bareiss_division_raises(monkeypatch):
-    rows = [{0: GaussianRational(1, 1)}, {1: Fraction(1, 2)}]
+    rows = [{0: (1, 1)}, {1: (1, 0)}]
     assert exact_rank(rows) == 2
     # A factor that ignores when rows were last written, p_{k-1} / p_{k-1}**2 at every
     # step, makes p_2 = 1 / (1 + i), not a Gaussian integer: the rank is refused, not answered.
@@ -227,3 +215,38 @@ def test_an_inexact_bareiss_division_raises(monkeypatch):
     monkeypatch.setattr(poly, "_bareiss_factor", lambda pivots, k, a_p, a_r: true_factor(pivots, k, k - 1, k - 1))
     with pytest.raises(ArithmeticError):
         exact_rank(rows)
+
+
+def test_a_zero_pivot_entry_raises():
+    # zero entries are no caller's rows: a zero alone in its bucket, or a
+    # zero picked as the pivot of a shared bucket, is refused in both kernels
+    for rows in ([{2: 0}], [{2: (0, 0)}], [{0: 5}, {0: 1, 1: 2}, {1: 0}],
+                 [{0: 2, 1: 4}, {0: 3, 1: 6, 2: 0}, {2: 0}],
+                 [{0: (2, 0), 1: (4, 0)}, {0: (3, 0), 1: (6, 0), 2: (0, 0)}, {2: (0, 0)}]):
+        with pytest.raises(ArithmeticError, match="zero pivot entry"):
+            exact_rank(rows)
+    # a zero beside a true pivot entry adds a zero multiple: (1, 1, 0) and (0, 0, 1)
+    assert exact_rank([{0: 1, 1: 1}, {0: 0, 2: 1}]) == 2
+    assert exact_rank([{0: (1, 0), 1: (1, 0)}, {0: (0, 0), 2: (0, 1)}]) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_zero_entry_gives_the_true_rank_or_raises(data):
+    matrix, r, gaussian = data.draw(known_rank_matrices())
+    rows = data.draw(sparse_rows(matrix, gaussian))
+    zero = (0, 0) if gaussian else 0
+    columns = sorted(set().union(*rows)) or [0]
+    for _ in range(data.draw(st.integers(1, 3))):
+        c = data.draw(st.sampled_from(columns))
+        i = data.draw(st.integers(0, len(rows)))
+        if i == len(rows):
+            rows.append({c: zero})  # a row alone in its bucket, some of the time
+        else:
+            rows[i].setdefault(c, zero)
+    assert rank_mod_prime(rows, RANK_PRIMES[0]) <= r
+    try:
+        rank = exact_rank(rows)
+    except ArithmeticError:
+        return
+    assert rank == r
