@@ -230,9 +230,12 @@ class HermitianBiform:
         g = math.gcd(den, *(math.gcd(*row) for row in re), *(math.gcd(*row) for row in im or ()))
         self.n_vars = n_vars
         self.half_degree = half_degree
+        if g > 1:
+            re = [[v // g for v in row] for row in re]
+            im = im and [[v // g for v in row] for row in im]
         self.den = den // g
-        self.re = tuple(tuple(v // g for v in row) for row in re)
-        self.im = tuple(tuple(v // g for v in row) for row in im) if im and any(map(any, im)) else None
+        self.re = tuple(map(tuple, re))
+        self.im = tuple(map(tuple, im)) if im and any(map(any, im)) else None
 
     @property
     def matrix(self) -> tuple[tuple[GaussianRational, ...], ...]:
@@ -519,28 +522,46 @@ def _perfect_square_root(value: Fraction) -> Optional[Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _lowered(n_vars: int, d: int) -> tuple[dict[int, int], ...]:
-    """For each degree-(d+1) monomial A, the map j -> index of A - e_j in
-    the degree-d basis, over the j with A_j > 0.  Shared; never mutated."""
-    index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d))}
+def _raised(n_vars: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """For each variable j, the index of alpha + e_j in the degree-(d+1)
+    basis for every degree-d alpha, in the order of alpha: a bijection onto
+    the degree-(d+1) monomials with a positive exponent of z_(j+1).
+    Shared; never mutated."""
+    index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d + 1))}
     return tuple(
-        {j: index[a[:j] + (a[j] - 1,) + a[j + 1:]] for j in range(n_vars) if a[j]}
-        for a in monomials_of_degree(n_vars, d + 1)
+        tuple(index[a[:j] + (a[j] + 1,) + a[j + 1:]] for a in monomials_of_degree(n_vars, d))
+        for j in range(n_vars)
     )
 
 
 def multiply_signed_norm(form: HermitianBiform, norm: SignedNorm | tuple[int, int]) -> HermitianBiform:
     """Multiply by the signed norm of signature (s, t): the bidegree goes
     up by one and the product entry at (A, B) is the signed sum of the
-    entries at (A - e_j, B - e_j)."""
+    entries at (A - e_j, B - e_j).
+
+    Built from one cached table per (n, d) that gives, for each j, the
+    index of alpha + e_j in degree d + 1 for every degree-d alpha.  Each j
+    is then a scatter-add of the rows of ``re`` and ``im``: the entry at
+    (alpha, beta) is added at (alpha + e_j, beta + e_j), or subtracted
+    for j >= s, on the same ints over the same ``den``."""
     s, t = norm
     if s < 0 or t < 0 or s + t != form.n_vars:
         raise ValueError(f"signed norm ({s},{t}) does not match {form.n_vars} variables")
-    lowered = _lowered(form.n_vars, form.half_degree)
-    signs = (1,) * s + (-1,) * t
+    raised = _raised(form.n_vars, form.half_degree)
+    dim = len(monomials_of_degree(form.n_vars, form.half_degree + 1))
 
     def times_norm(mat):
-        return [[sum(signs[j] * mat[a][lb[j]] for j, a in la.items() if j in lb) for lb in lowered] for la in lowered]
+        out = [[0] * dim for _ in range(dim)]
+        for j, up in enumerate(raised):
+            for a, src in zip(up, mat):
+                row = out[a]
+                if j < s:
+                    for b, v in zip(up, src):
+                        row[b] += v
+                else:
+                    for b, v in zip(up, src):
+                        row[b] -= v
+        return out
 
     re, im = (times_norm(part) if part else None for part in (form.re, form.im))
     return HermitianBiform._from_ints(form.n_vars, form.half_degree + 1, form.den, re, im)
@@ -564,8 +585,10 @@ def divide_norm_power(form: HermitianBiform, power: int) -> Optional[HermitianBi
     row: with A = alpha + e_1 and B = beta + e_1, F[A][B] is M[alpha][beta]
     plus entries in the rows A - e_j (j > 1), which come before alpha in
     the basis order (they agree with alpha in the exponents of z_n down to
-    z_(j+1) and have a smaller exponent of z_j).  It then certifies the
-    candidate by multiplying back.
+    z_(j+1) and have a smaller exponent of z_j).  So once a row of M is
+    solved, its j > 1 terms are subtracted from the rows of F they land
+    in, through the table of :func:`multiply_signed_norm`.  It then
+    certifies the candidate by multiplying back.
     """
     if power < 0:
         raise ValueError("power must be nonnegative")
@@ -581,15 +604,18 @@ def _divide_norm_once(form: HermitianBiform) -> Optional[HermitianBiform]:
     if form.half_degree < 1:
         return None
     n, d = form.n_vars, form.half_degree - 1
-    lowered = _lowered(n, d)
-    # (index, lowered) of alpha + e_1 for each degree-d alpha, in the order
-    # of alpha: adding e_1 shifts only the last reversed exponent
-    raised = [(i, la) for i, la in enumerate(lowered) if 0 in la]
+    first, *others = _raised(n, d)
 
     def divided(mat):
+        rest = [list(row) for row in mat]
         out = []
-        for ia, la in raised:
-            out.append([mat[ia][ib] - sum(out[a][lb[j]] for j, a in la.items() if j and j in lb) for ib, lb in raised])
+        for a, ia in enumerate(first):
+            solved = [rest[ia][ib] for ib in first]
+            out.append(solved)
+            for up in others:
+                row = rest[up[a]]
+                for b, v in zip(up, solved):
+                    row[b] -= v
         return out
 
     re, im = (divided(part) if part else None for part in (form.re, form.im))
@@ -786,11 +812,14 @@ def parse_biform(text: str) -> HermitianBiform:
     """Parse the shared biform document.
 
     Each term is {"alpha": [...], "beta": [...], "coeff": {"re": "p/q",
-    "im": "p/q"}} and contributes coeff * z^alpha * conj(z)^beta.  A term
-    whose mirror (beta, alpha) is not listed gets its conjugate there, by
-    Hermitian completion; when both are listed they must actually be
-    conjugates, or the assembled matrix is rejected.  Every schema fault
-    raises ``ValueError``.
+    "im": "p/q"}} and contributes coeff * z^alpha * conj(z)^beta.  The
+    exact (re, im) parts go straight into a dim x dim cell matrix:
+    repeated pairs are summed, and a cell (beta, alpha) that no term lists
+    gets the conjugate of the sum at (alpha, beta), by Hermitian
+    completion; unlisted pairs with no listed mirror are zero.  When both
+    (alpha, beta) and (beta, alpha) are listed they must actually be
+    conjugates, and a listed diagonal must be real, or the constructor
+    rejects the matrix.  Every schema fault raises ``ValueError``.
     """
     doc = _json_object(json.loads(text), ("n_vars", "d", "terms"), "biform document")
     n_vars = _json_int(doc["n_vars"], "n_vars")
@@ -801,7 +830,19 @@ def parse_biform(text: str) -> HermitianBiform:
         alpha = tuple(_json_int(e, "exponent") for e in _json_list(term["alpha"], "alpha"))
         beta = tuple(_json_int(e, "exponent") for e in _json_list(term["beta"], "beta"))
         coeff = _json_object(term["coeff"], ("re", "im"), "coeff")
-        terms.append((alpha, beta, GaussianRational(_json_rational(coeff["re"], "re"), _json_rational(coeff["im"], "im"))))
-    listed = {(alpha, beta) for alpha, beta, _ in terms}
-    terms += [(beta, alpha, coeff.conjugate()) for alpha, beta, coeff in terms if (beta, alpha) not in listed]
-    return biform_from_terms(n_vars, d, terms)
+        terms.append((alpha, beta, _json_rational(coeff["re"], "re"), _json_rational(coeff["im"], "im")))
+    index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d))}
+    cells: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+    for alpha, beta, re, im in terms:
+        if alpha not in index or beta not in index:
+            raise ValueError(f"term ({alpha},{beta}) is not of bidegree ({d},{d}) in {n_vars} variables")
+        key = index[alpha], index[beta]
+        if key in cells:
+            re, im = cells[key][0] + re, cells[key][1] + im
+        cells[key] = re, im
+    matrix = [[0] * len(index) for _ in index]
+    for (r, c), (re, im) in cells.items():
+        matrix[r][c] = re, im
+        if (c, r) not in cells:
+            matrix[c][r] = re, -im
+    return HermitianBiform(n_vars, d, matrix)

@@ -734,7 +734,19 @@ def _json_int(value, what: str) -> int:
 
 def _json_rational(value, what: str) -> Fraction:
     """A "p/q" string or a JSON integer as an exact rational.  JSON floats
-    are refused: their binary value is rarely the decimal that was meant."""
+    are refused: their binary value is rarely the decimal that was meant.
+
+    The plain forms "n" and "p/q" (ASCII digits, an optional leading "-"
+    on p, q nonzero) are read with ``int``; every other form goes to
+    ``Fraction``, which accepts it or raises as it always has."""
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isascii() and den.isdigit() and den.strip("0"):
+                return Fraction(int(num), int(den))
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ValueError(f'{what} must be a "p/q" string or an integer, got {value!r}')
     try:

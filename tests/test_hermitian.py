@@ -367,7 +367,13 @@ def _signed_norm_product_by_terms(form, s):
 
 
 def test_multiply_signed_norm_matches_term_expansion():
-    for form in _gaussian_instances([(n, d) for d in (1, 2) for n in (2, 3, 4)], seed=7):
+    # (2, 3), (3, 3) and (4, 2) are the biform-report shapes past d = 1
+    shapes = [(n, 1) for n in (2, 3, 4)] + [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)]
+    forms = list(_gaussian_instances(shapes, seed=7))
+    real = HermitianBiform(3, 3, [[v.re for v in row] for row in forms[shapes.index((3, 3))].matrix])
+    assert real.im is None and not real.is_zero()
+    forms += [real, zero_biform(3, 2)]
+    for form in forms:
         n = form.n_vars
         for s in range(n + 1):
             assert multiply_signed_norm(form, (s, n - s)) == _signed_norm_product_by_terms(form, s)
@@ -403,7 +409,7 @@ def test_divide_norm_power_round_trip():
 
 
 def test_divide_norm_power_round_trips_gaussian_forms_with_denominators():
-    for form in _gaussian_instances([(2, 1), (3, 1), (2, 2), (3, 2)], seed=3):
+    for form in _gaussian_instances([(2, 1), (3, 1), (2, 2), (3, 2), (3, 3)], seed=3):
         for power in (1, 2):
             assert divide_norm_power(multiply_norm_power(form, power), power) == form
 
@@ -735,3 +741,79 @@ def test_parse_biform_hermitian_completion():
     )
     with pytest.raises(ValueError):
         parse_biform(bad)
+
+
+def _parse_biform_by_terms(text):
+    """``parse_biform`` by the term route: each term as a GaussianRational,
+    the conjugate of every term whose mirror is not listed, and
+    ``biform_from_terms`` on the lot."""
+    doc = json.loads(text)
+    terms = [
+        (tuple(t["alpha"]), tuple(t["beta"]), GaussianRational(Fraction(t["coeff"]["re"]), Fraction(t["coeff"]["im"])))
+        for t in doc["terms"]
+    ]
+    listed = {(alpha, beta) for alpha, beta, _ in terms}
+    terms += [(beta, alpha, c.conjugate()) for alpha, beta, c in terms if (beta, alpha) not in listed]
+    return biform_from_terms(doc["n_vars"], doc["d"], terms)
+
+
+PARTS = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)).map(str))
+BIFORM_FAULTS = ("none", "repeated pair", "non-conjugate mirror", "imaginary diagonal", "wrong degree")
+
+
+@st.composite
+def biform_documents(draw):
+    """Biform documents with one fault or none.  Each listed off-diagonal
+    pair appears as (alpha, beta) alone, as its mirror alone, or as both,
+    the mirror before or after its pair; the terms come in any order."""
+    n, d = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    basis = monomials_of_degree(n, d)
+    dim = len(basis)
+    fault = draw(st.sampled_from(BIFORM_FAULTS))
+    target = draw(st.sampled_from([(r, c) for r in range(dim) for c in range(r, dim) if (r == c) == (fault == "imaginary diagonal")]))
+
+    def term(alpha, beta, re, im):
+        return {"alpha": list(alpha), "beta": list(beta), "coeff": {"re": re, "im": im}}
+
+    terms = []
+    for r in range(dim):
+        for c in range(r, dim):
+            forced = (r, c) == target and fault in ("non-conjugate mirror", "imaginary diagonal")
+            if not (forced or draw(st.booleans())):
+                continue
+            re, im = draw(PARTS), draw(PARTS)
+            if r == c:
+                terms.append(term(basis[r], basis[r], re, im if forced else 0))
+                continue
+            mirror_im = str(1 - Fraction(im) if forced else -Fraction(im))
+            listing = "both" if forced else draw(st.sampled_from(["pair", "mirror", "both"]))
+            if listing != "mirror":
+                terms.append(term(basis[r], basis[c], re, im))
+            if listing != "pair":
+                terms.append(term(basis[c], basis[r], re, mirror_im))
+    terms = draw(st.permutations(terms))
+    if fault == "repeated pair" and terms:
+        alpha, beta = draw(st.sampled_from([(t["alpha"], t["beta"]) for t in terms]))
+        extra = term(alpha, beta, draw(PARTS), 0 if alpha == beta else draw(PARTS))
+        terms.insert(draw(st.integers(0, len(terms))), extra)
+    if fault == "wrong degree":
+        alpha = list(draw(st.sampled_from(basis)))
+        alpha = draw(st.sampled_from([alpha + [0], alpha[1:], [alpha[0] + 1] + alpha[1:]]))
+        bad = term(alpha, draw(st.sampled_from(basis)), draw(PARTS), 0)
+        if draw(st.booleans()):
+            bad["alpha"], bad["beta"] = bad["beta"], bad["alpha"]
+        terms.insert(draw(st.integers(0, len(terms))), bad)
+    return json.dumps({"n_vars": n, "d": d, "terms": terms})
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(biform_documents())
+@settings(max_examples=300, deadline=None)
+def test_parse_biform_matches_the_term_route(text):
+    assert _outcome(parse_biform, text) == _outcome(_parse_biform_by_terms, text)

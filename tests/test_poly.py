@@ -28,6 +28,7 @@ from macaulay.poly import (
     rank_mod_prime,
     variable,
     verify_macaulay,
+    _json_rational,
 )
 from macaulay.oracle import SplitMix64
 from references import brute_hilbert_monomial, integer_rows
@@ -284,6 +285,32 @@ def test_ideal_serialization_round_trip():
     again = parse_ideal(text)
     assert again == ideal
     assert format_ideal(again) == text
+
+
+def _json_rational_by_fraction(value, what):
+    """The rational reader as ``Fraction`` alone: ``Fraction(value)`` for
+    a str or an int, refusal for a bool, a float or anything else."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f'{what} must be a "p/q" string or an integer, got {value!r}')
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} has a zero denominator: {value!r}") from None
+
+
+@pytest.mark.parametrize("value", [
+    "0", "-0", "007", "12/8", "3/0", "+3", " 3", "1.5", "1e3", "3_000", "\u0663",
+    "3/-4", "--3", "", "/3", 5, True, 0.5, "\u00b2",
+])
+def test_json_rational_matches_fraction(value):
+    def outcome(read):
+        try:
+            return read(value, "coeff")
+        except ValueError as exc:
+            return str(exc)
+
+    got, want = outcome(_json_rational), outcome(_json_rational_by_fraction)
+    assert got == want and type(got) is type(want)
 
 
 def test_parse_ideal_rejects_bad_documents():
