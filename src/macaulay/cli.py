@@ -177,18 +177,12 @@ def cmd_hermitian(path: str, s: int | None, t: int | None, l: int) -> Report:
     if s < 0 or t < 0 or s + t != n:
         raise ValueError(f"--s and --t must be >= 0 with s + t = {n}, got ({s}, {t})")
     inputs = {"file": path, "n_vars": n, "d": form.half_degree, "s": s, "t": t, "l": l}
+    verdicts = dict.fromkeys(
+        ("product_rank_bounds", "positive_part_bound", "negative_part_bound", "sos_rank_interval"), "not-applicable"
+    )
     if form.is_zero():
-        return Report(
-            "hermitian",
-            inputs=inputs,
-            outputs={"note": "zero form: rank and signature bounds do not apply"},
-            verdicts={
-                "product_rank_bounds": "not-applicable",
-                "positive_part_bound": "not-applicable",
-                "negative_part_bound": "not-applicable",
-                "sos_rank_interval": "not-applicable",
-            },
-        )
+        outputs = {"note": "zero form: rank and signature bounds do not apply"}
+        return Report("hermitian", inputs=inputs, outputs=outputs, verdicts=verdicts)
     sig = hermitian.biform_signature(form)
     r = hermitian.biform_rank(form)
     # rank and signature come from different kernels; rank == p + q checks one against the other
@@ -203,7 +197,7 @@ def cmd_hermitian(path: str, s: int | None, t: int | None, l: int) -> Report:
         "product_rank": rank_product,
         "product_rank_interval": [low, high],
     }
-    verdicts = {"product_rank_bounds": _verdict(low <= rank_product <= high)}
+    verdicts["product_rank_bounds"] = _verdict(low <= rank_product <= high)
 
     if (s, t) == (n, 0):
         power = hermitian.multiply_norm_power(product, l - 1)
@@ -228,10 +222,6 @@ def cmd_hermitian(path: str, s: int | None, t: int | None, l: int) -> Report:
         verdicts["positive_part_bound"] = _verdict(sig.p >= p_bound)
         verdicts["negative_part_bound"] = _verdict(sig.q <= q_bound)
         verdicts["sos_rank_interval"] = _verdict(r_low <= power_sig.rank <= r_high)
-    else:
-        verdicts["positive_part_bound"] = "not-applicable"
-        verdicts["negative_part_bound"] = "not-applicable"
-        verdicts["sos_rank_interval"] = "not-applicable"
     return Report("hermitian", inputs=inputs, outputs=outputs, verdicts=verdicts)
 
 

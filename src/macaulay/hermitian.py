@@ -30,6 +30,7 @@ from .poly import (
     GradedIdeal,
     HomogPoly,
     Monomial,
+    _EXACT_TYPES,
     _exact_parts,
     _json_int,
     _json_list,
@@ -44,16 +45,16 @@ from .poly import (
 class GaussianRational:
     """An exact complex number with rational real and imaginary parts.
 
-    Parts are ints or Fractions, stored as they arrive; anything else
-    raises ``TypeError``.  No elimination computes in this class:
-    ``poly._exact_parts`` reads only the ``re`` and ``im`` parts of a
-    scalar, and the kernels run on the integers it gives.
+    Parts are ints or Fractions, stored as they arrive; anything else, a
+    bool included, raises ``TypeError``.  No elimination computes in this
+    class: ``poly._exact_parts`` reads only the ``re`` and ``im`` parts of
+    a scalar, and the kernels run on the integers it gives.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+        if not (type(re) in _EXACT_TYPES and type(im) in _EXACT_TYPES):
             raise TypeError(f"not an exact scalar: {(re, im)!r}")
         self.re, self.im = re, im
 
@@ -153,7 +154,7 @@ class GaussianRational:
 def _lift(value):
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
+    if type(value) in _EXACT_TYPES:
         return GaussianRational(value)
     return NotImplemented
 
@@ -221,19 +222,16 @@ class HermitianBiform:
 
     @classmethod
     def _from_ints(cls, n_vars: int, half_degree: int, den: int, re, im) -> "HermitianBiform":
-        """The form (re + i*im) / den from int parts known to be Hermitian."""
+        """The form (re + i*im) / den from int parts known to be Hermitian
+        and in least terms, den > 0 and gcd(den, re, im) = 1, stored as given."""
         form = cls.__new__(cls)
         form._store(n_vars, half_degree, den, re, im)
         return form
 
     def _store(self, n_vars: int, half_degree: int, den: int, re, im) -> None:
-        g = math.gcd(den, *(math.gcd(*row) for row in re), *(math.gcd(*row) for row in im or ()))
         self.n_vars = n_vars
         self.half_degree = half_degree
-        if g > 1:
-            re = [[v // g for v in row] for row in re]
-            im = im and [[v // g for v in row] for row in im]
-        self.den = den // g
+        self.den = den
         self.re = tuple(map(tuple, re))
         self.im = tuple(map(tuple, im)) if im and any(map(any, im)) else None
 
@@ -351,7 +349,10 @@ def recompose_squares(
                 rr[b] += ur * br + ui * bi
                 ri[b] += ui * br - ur * bi
     _require_hermitian(den, re, im)
-    return HermitianBiform._from_ints(n_vars, d, den, re, im)
+    # den can share a factor with every entry (weight 2 on z1/2, or weights that cancel)
+    g = math.gcd(den, *(math.gcd(*row) for row in re + im))
+    re, im = ([[v // g for v in row] for row in part] for part in (re, im))
+    return HermitianBiform._from_ints(n_vars, d, den // g, re, im)
 
 
 def biform_from_squares(
@@ -543,7 +544,8 @@ def multiply_signed_norm(form: HermitianBiform, norm: SignedNorm | tuple[int, in
     index of alpha + e_j in degree d + 1 for every degree-d alpha.  Each j
     is then a scatter-add of the rows of ``re`` and ``im``: the entry at
     (alpha, beta) is added at (alpha + e_j, beta + e_j), or subtracted
-    for j >= s, on the same ints over the same ``den``."""
+    for j >= s, on the same ints over the same ``den``.  The norm is
+    primitive, so by Gauss's lemma over Z[i] the product is in least terms."""
     s, t = norm
     if s < 0 or t < 0 or s + t != form.n_vars:
         raise ValueError(f"signed norm ({s},{t}) does not match {form.n_vars} variables")
@@ -621,7 +623,8 @@ def _divide_norm_once(form: HermitianBiform) -> Optional[HermitianBiform]:
     re, im = (divided(part) if part else None for part in (form.re, form.im))
     candidate = HermitianBiform._from_ints(n, d, form.den, re, im)
     # M -> M * ||z||^2 is injective and commutes with the conjugate transpose,
-    # so a candidate that multiplies back to the Hermitian form is Hermitian.
+    # so a candidate that multiplies back to the Hermitian form is Hermitian,
+    # and in least terms as the form is; any other candidate is dropped.
     if multiply_signed_norm(candidate, SignedNorm(n, 0)) != form:
         return None
     return candidate

@@ -37,6 +37,9 @@ from .binom import _split_failures, shift_apply
 
 Monomial = tuple[int, ...]
 
+# The exact scalar types, matched by ``type(v) in _EXACT_TYPES`` so that a bool is refused.
+_EXACT_TYPES = (int, Fraction)
+
 
 @lru_cache(maxsize=None)
 def monomials_of_degree(n_vars: int, d: int) -> tuple[Monomial, ...]:
@@ -251,14 +254,14 @@ def _exact_parts(values: Iterable) -> tuple[list[int], list[int], int]:
     (re[k] + i*im[k]) / den, over the least positive common denominator.
     The package's one scalar reader: it takes ints, Fractions, ``(re, im)``
     pairs of those and objects with such ``re``/``im`` attributes (Gaussian
-    rationals), and raises ``TypeError`` on anything else, floats included."""
+    rationals), and raises ``TypeError`` on anything else, bools included."""
     pairs = []
     for v in values:
-        if isinstance(v, (int, Fraction)):
+        if type(v) in _EXACT_TYPES:
             pairs.append((v, 0))
             continue
         re, im = v if type(v) is tuple and len(v) == 2 else (getattr(v, "re", None), getattr(v, "im", None))
-        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+        if not (type(re) in _EXACT_TYPES and type(im) in _EXACT_TYPES):
             raise TypeError(f"not an exact scalar: {v!r}")
         pairs.append((re, im))
     den = math.lcm(*[x.denominator for pair in pairs for x in pair])
@@ -694,7 +697,7 @@ def format_ideal(ideal: GradedIdeal) -> str:
     """Serialize to the shared JSON document; rationals as "p/q" strings,
     so the round trip is bit exact.  A coefficient that is not an int or a
     Fraction raises ``TypeError``."""
-    bad = [c for g in ideal.generators for c in g.terms.values() if type(c) not in (int, Fraction)]
+    bad = [c for g in ideal.generators for c in g.terms.values() if type(c) not in _EXACT_TYPES]
     if bad:
         raise TypeError(f"not a rational coefficient: {bad[0]!r}")
     doc = {

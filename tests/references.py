@@ -4,7 +4,9 @@ Each checks a main code path from a different direction: Macaulay
 representations by exhaustive search instead of greedy construction,
 monomial Hilbert values by counting instead of rank, congruences by
 explicit Gaussian-rational matrix products, and sum-of-squares instances
-accepted only through exact signature checks.  ``integer_rows`` turns
+accepted only through exact signature checks.  Diagonal Hermitian forms
+are read off integer polynomial products, with the least sum-of-squares
+power of one family in closed form.  ``integer_rows`` turns
 rows of exact scalars into the integer rows the rank routines take, by
 plain Fraction arithmetic.  Randomness flows through
 ``macaulay.oracle.SplitMix64``, so every instance is reproducible.
@@ -107,6 +109,41 @@ def exhaustive_monomial_corpus(max_vars: int = 3, max_gens: int = 3, max_degree:
             for combo in itertools.combinations(pool, size):
                 corpus.append(GradedIdeal(n_vars, tuple(monomial_poly(m) for m in combo)))
     return corpus
+
+
+def poly_product(f: dict[Monomial, int], g: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The product of two integer polynomials, each a dict from exponent
+    tuples to coefficients, by plain convolution; zero terms are dropped.
+
+    For a diagonal form M = sum_a c_a |z^a|^2 and the signed norm
+    N = sum_j e_j |z_j|^2, M * N^l is diagonal with the coefficients of
+    p(x) * (sum_j e_j x_j)^l at |z^b|^2, where p(x) = sum_a c_a x^a."""
+    out: dict[Monomial, int] = {}
+    for a, ca in f.items():
+        for b, cb in g.items():
+            m = tuple(x + y for x, y in zip(a, b))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def diagonal_min_sos_power(lam: Fraction) -> int:
+    """The least l >= 1 with (|z1|^4 - lam |z1 z2|^2 + |z2|^4) * ||z||^(2l) a
+    sum of squares, for 0 <= lam < 2: the least N with 2N/(N+2) >= lam for
+    even N, or (2N+2)/(N+3) >= lam for odd N.
+
+    The coefficient of x^(j+1) y^(N+1-j) in (x^2 - lam xy + y^2)(x + y)^N
+    is C(N, j-1) - lam C(N, j) + C(N, j+1), nonnegative iff lam is at most
+    j/(N-j+1) + (N-j)/(j+1), which is least at the middle j."""
+    if not 0 <= lam < 2:
+        raise ValueError(f"need 0 <= lam < 2, got {lam}")
+
+    def middle_ratio(n: int) -> Fraction:
+        return Fraction(2 * n, n + 2) if n % 2 == 0 else Fraction(2 * n + 2, n + 3)
+
+    n = 1
+    while middle_ratio(n) < lam:
+        n += 1
+    return n
 
 
 def integer_rows(rows: list[dict[int, object]]) -> list[dict[int, object]]:

@@ -1,6 +1,7 @@
 """Tests for Hermitian biforms: rank, signature, norm products, and bounds."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -614,7 +615,9 @@ def test_biform_representation_round_trips():
 def test_equal_forms_store_equal_ints():
     form = HermitianBiform(2, 1, [[Fraction(1, 2), 0], [0, Fraction(3, 2)]])
     assert (form.den, form.re, form.im) == (2, ((1, 0), (0, 3)), None)
-    assert HermitianBiform._from_ints(2, 1, 4, [[2, 0], [0, 6]], [[0, 0], [0, 0]]) == form
+    # 2 |z1/2|^2 + 3/2 |z2|^2 sums to (2, 6) over 4 before recompose_squares reduces it
+    weighted = [(2, monomial_poly((1, 0), Fraction(1, 2))), (Fraction(3, 2), monomial_poly((0, 1)))]
+    assert recompose_squares(2, 1, weighted) == form
     assert zero_biform(2, 1).den == 1
 
 
@@ -817,3 +820,39 @@ def _outcome(parse, text):
 @settings(max_examples=300, deadline=None)
 def test_parse_biform_matches_the_term_route(text):
     assert _outcome(parse_biform, text) == _outcome(_parse_biform_by_terms, text)
+
+
+def _in_least_terms(form):
+    ints = [v for part in (form.re, form.im or ()) for row in part for v in row]
+    return form.den > 0 and math.gcd(form.den, *ints) == 1
+
+
+Z1_HALF = monomial_poly((1, 0), Fraction(1, 2))
+
+
+@given(square_families().filter(lambda family: family[3] != "not cancelling"), hermitian_forms())
+@example((2, 1, [(2, Z1_HALF)], "real"), zero_biform(2, 1))
+@example((2, 1, [(Fraction(3, 2), Z1_HALF), (Fraction(-1, 2), Z1_HALF)], "real"), zero_biform(2, 1))
+@example((2, 1, [(Fraction(1, 3), Z1_HALF), (Fraction(-1, 3), Z1_HALF)], "real"), zero_biform(3, 2))
+@settings(max_examples=100, deadline=None)
+def test_every_producer_leaves_least_terms(family, form):
+    """den > 0 and gcd(den, re, im) = 1 for every producer: the constructor,
+    the parse, the term route, the zero form, ``recompose_squares`` (the
+    examples put weight 2 on z1/2 and weights that cancel, whose sums share
+    a factor with den), the products by every signed norm and the exact
+    quotients."""
+    n, d, weighted, _ = family
+    squares = recompose_squares(n, d, weighted)
+    made = [
+        squares,
+        HermitianBiform(form.n_vars, form.half_degree, form.matrix),
+        parse_biform(format_biform(form)),
+        biform_from_terms(form.n_vars, form.half_degree, biform_terms(form)),
+        zero_biform(n, d),
+    ]
+    for base in (form, squares):
+        products = [multiply_signed_norm(base, (s, base.n_vars - s)) for s in range(base.n_vars + 1)]
+        quotients = [divide_norm_power(products[-1], 1), divide_norm_power(base, 1)]
+        assert quotients[0] == base
+        made += products + [q for q in quotients if q is not None]
+    assert all(_in_least_terms(f) for f in made)

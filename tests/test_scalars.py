@@ -1,7 +1,7 @@
 """One reader turns exact scalars into integers, and every entry point
 refuses the same inputs through it: an int, a Fraction, an ``(re, im)``
 pair of those, or an object with such ``re``/``im`` parts is read exactly;
-a float, a string or anything else raises ``TypeError``.  The rank
+a bool, a float, a string or anything else raises ``TypeError``.  The rank
 routines read no scalar: they take the integers of the reader."""
 
 import json
@@ -14,7 +14,7 @@ from macaulay.cli import main
 from macaulay.hermitian import GaussianRational, HermitianBiform, biform_from_terms, recompose_squares
 from macaulay.poly import GradedIdeal, HomogPoly, _exact_parts, format_ideal, graded_piece_dim, monomial_poly
 
-NOT_EXACT = [0.5, "1/3", 1j, None, (1, 2, 3), (0.5, 0), [1, 0]]
+NOT_EXACT = [0.5, "1/3", 1j, None, (1, 2, 3), (0.5, 0), [1, 0], True, (1, False)]
 
 
 def test_reader_takes_every_exact_scalar_over_one_denominator():
@@ -29,7 +29,7 @@ def test_reader_refuses_anything_else(bad):
         _exact_parts([1, bad])
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/3"])
+@pytest.mark.parametrize("bad", [True, 0.5, "1/3"])
 def test_biform_constructor_refuses_inexact_entries(bad):
     with pytest.raises(TypeError, match="not an exact scalar"):
         HermitianBiform(2, 1, [[bad, 0], [0, 1]])
@@ -48,6 +48,8 @@ def test_recompose_squares_refuses_inexact_weights_and_coefficients():
     assert recompose_squares(2, 1, [(Fraction(3, 2), p)]) == recompose_squares(2, 1, [((Fraction(3, 2), 0), p)])
     with pytest.raises(TypeError, match="not an exact scalar"):
         recompose_squares(2, 1, [(1.5, p)])
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        recompose_squares(2, 1, [(True, p)])
     with pytest.raises(TypeError, match="not an exact scalar"):
         recompose_squares(2, 1, [(1, HomogPoly(2, 1, {(1, 0): 0.5}))])
 
@@ -69,26 +71,31 @@ def test_exact_rank_refuses_inexact_entries(monkeypatch):
             hermitian.biform_rank(HermitianBiform(2, 1, [[1, 0], [0, bad]]))
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/3", None, 1j])
+@pytest.mark.parametrize("bad", [True, 0.5, "1/3", None, 1j])
 def test_gaussian_rational_refuses_inexact_parts(bad):
     for parts in ((bad,), (1, bad)):
         with pytest.raises(TypeError, match="not an exact scalar"):
             GaussianRational(*parts)
     assert GaussianRational(Fraction(1, 2), -3).im == -3
+    # arithmetic lifts no inexact operand
+    assert GaussianRational(1) == 1 and GaussianRational(1) != bad
+    with pytest.raises(TypeError):
+        GaussianRational(1) + bad
 
 
 def test_format_ideal_writes_rationals_only():
     ideal = GradedIdeal(2, (HomogPoly(2, 1, {(1, 0): 3, (0, 1): Fraction(-1, 2)}),))
     assert [t["coeff"] for t in json.loads(format_ideal(ideal))["generators"][0]] == ["3", "-1/2"]
-    for bad in (0.1, GaussianRational(1, 2)):
+    for bad in (True, 0.1, GaussianRational(1, 2)):
         with pytest.raises(TypeError, match="not a rational coefficient"):
             format_ideal(GradedIdeal(2, (HomogPoly(2, 1, {(1, 0): 1, (0, 1): bad}),)))
 
 
 def test_graded_piece_refuses_inexact_generator_coefficients():
-    ideal = GradedIdeal(2, (HomogPoly(2, 1, {(1, 0): 1, (0, 1): 0.5}),))
-    with pytest.raises(TypeError, match="not an exact scalar"):
-        graded_piece_dim(ideal, 2)
+    for bad in (True, 0.5):
+        ideal = GradedIdeal(2, (HomogPoly(2, 1, {(1, 0): 1, (0, 1): bad}),))
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            graded_piece_dim(ideal, 2)
     assert graded_piece_dim(GradedIdeal(2, (monomial_poly((1, 0), Fraction(1, 2)),)), 2) == 2
 
 
