@@ -188,29 +188,25 @@ def cmd_hermitian(path: str, s: int | None, t: int | None, l: int) -> Report:
     # rank and signature come from different kernels; rank == p + q checks one against the other
     if r != sig.rank:
         raise ArithmeticError(f"rank {r} of the form differs from p + q = {sig.rank}")
+    euclidean = (s, t) == (n, 0)
     product = hermitian.multiply_signed_norm(form, (s, t))
     rank_product = hermitian.biform_rank(product)
     low, high = hermitian.product_rank_interval(r, n)
+    power = hermitian.multiply_norm_power(product, l - 1) if euclidean else hermitian.multiply_norm_power(form, l)
+    power_sig = hermitian.biform_signature(power)
+    # at (s, t) = (n, 0) and l = 1 the power is the product
+    if euclidean and l == 1 and rank_product != power_sig.rank:
+        raise ArithmeticError(f"rank {rank_product} of the product differs from p + q = {power_sig.rank}")
     outputs = {
         "signature": {"p": sig.p, "q": sig.q},
         "rank": r,
         "product_rank": rank_product,
         "product_rank_interval": [low, high],
+        "norm_power_rank": power_sig.rank,
+        "norm_power_is_sum_of_squares": power_sig.q == 0,
     }
     verdicts["product_rank_bounds"] = _verdict(low <= rank_product <= high)
-
-    if (s, t) == (n, 0):
-        power = hermitian.multiply_norm_power(product, l - 1)
-    else:
-        power = hermitian.multiply_norm_power(form, l)
-    power_sig = hermitian.biform_signature(power)
-    # at (s, t) = (n, 0) and l = 1 the power is the product
-    if (s, t) == (n, 0) and l == 1 and rank_product != power_sig.rank:
-        raise ArithmeticError(f"rank {rank_product} of the product differs from p + q = {power_sig.rank}")
-    sos = power_sig.q == 0
-    outputs["norm_power_rank"] = power_sig.rank
-    outputs["norm_power_is_sum_of_squares"] = sos
-    if sos:
+    if outputs["norm_power_is_sum_of_squares"]:
         p_bound = hermitian.sos_min_positive_part(r, n, l)
         q_bound = hermitian.sos_max_negative_part(sig.p, n, l)
         q_bound_alt = hermitian.sos_max_negative_part(sig.p, n, l, alternate=True)

@@ -32,6 +32,7 @@ from .poly import (
     Monomial,
     _EXACT_TYPES,
     _exact_parts,
+    _json_document,
     _json_int,
     _json_list,
     _json_object,
@@ -42,13 +43,27 @@ from .poly import (
 )
 
 
+def _lifted(op):
+    """``op`` with its operand lifted through :meth:`GaussianRational.of`:
+    an operand the constructor refuses gives ``NotImplemented``."""
+    def lifted(self, other):
+        try:
+            other = GaussianRational.of(other)
+        except TypeError:
+            return NotImplemented
+        return op(self, other)
+    return lifted
+
+
 class GaussianRational:
     """An exact complex number with rational real and imaginary parts.
 
     Parts are ints or Fractions, stored as they arrive; anything else, a
-    bool included, raises ``TypeError``.  No elimination computes in this
-    class: ``poly._exact_parts`` reads only the ``re`` and ``im`` parts of
-    a scalar, and the kernels run on the integers it gives.
+    bool included, raises ``TypeError``.  An operand of ``==`` or of the
+    arithmetic is lifted through the constructor, so it takes the same
+    values.  No elimination computes in this class: ``poly._exact_parts``
+    reads only the ``re`` and ``im`` parts of a scalar, and the kernels run
+    on the integers it gives.
     """
 
     __slots__ = ("re", "im")
@@ -77,10 +92,8 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
+    @_lifted
     def __eq__(self, other) -> bool:
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
@@ -89,30 +102,20 @@ class GaussianRational:
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
+    @_lifted
     def __add__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
+    @_lifted
     def __sub__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+    __rsub__ = _lifted(lambda self, other: other - self)
 
+    @_lifted
     def __mul__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -120,10 +123,8 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
+    @_lifted
     def __truediv__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         n = other.norm_sq()
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -133,11 +134,7 @@ class GaussianRational:
             Fraction(self.re * conj.im + self.im * conj.re, n),
         )
 
-    def __rtruediv__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+    __rtruediv__ = _lifted(lambda self, other: other / self)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -149,14 +146,6 @@ class GaussianRational:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
-
-
-def _lift(value):
-    if isinstance(value, GaussianRational):
-        return value
-    if type(value) in _EXACT_TYPES:
-        return GaussianRational(value)
-    return NotImplemented
 
 
 class SignaturePair(NamedTuple):
@@ -283,22 +272,24 @@ def biform_from_terms(
     """Build a biform from (alpha, beta, coeff) triples meaning
     coeff * z^alpha * conj(z)^beta.
 
-    Repeated pairs are summed with ``+``, so their coefficients may not be
-    ``(re, im)`` tuples; unlisted pairs are zero.  Raises if any exponent
-    tuple has the wrong degree or if the assembled matrix fails to be
-    Hermitian.  The constructor converts the matrix to ints once and
-    checks the symmetry on them.
+    Coefficients are any exact scalars the constructor takes, and repeated
+    pairs are summed through the same reader; unlisted pairs are zero.
+    Raises if any exponent tuple has the wrong degree or if the assembled
+    matrix fails to be Hermitian.  The constructor converts the matrix to
+    ints once and checks the symmetry on them.
     """
     index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d))}
-    cells: dict[tuple[int, int], object] = {}
+    cells: dict[tuple[int, int], list] = {}
     for alpha, beta, coeff in terms:
         alpha, beta = tuple(alpha), tuple(beta)
         if alpha not in index or beta not in index:
             raise ValueError(f"term ({alpha},{beta}) is not of bidegree ({d},{d}) in {n_vars} variables")
-        key = index[alpha], index[beta]
-        cells[key] = cells[key] + coeff if key in cells else coeff
-    dim = len(index)
-    return HermitianBiform(n_vars, d, [[cells.get((i, j), 0) for j in range(dim)] for i in range(dim)])
+        cells.setdefault((index[alpha], index[beta]), []).append(coeff)
+    matrix = [[0] * len(index) for _ in index]
+    for (r, c), coeffs in cells.items():
+        re, im, den = _exact_parts(coeffs)
+        matrix[r][c] = Fraction(sum(re), den), Fraction(sum(im), den)
+    return HermitianBiform(n_vars, d, matrix)
 
 
 def biform_terms(form: HermitianBiform) -> list[tuple[Monomial, Monomial, GaussianRational]]:
@@ -731,11 +722,8 @@ def verify_product_rank_bounds(form: HermitianBiform, norm: SignedNorm | tuple[i
     bug in the rank or shift machinery.  Raises on the zero form, whose
     interval is undefined.
     """
-    r = biform_rank(form)
-    if r == 0:
-        raise ValueError("zero form: the product rank interval needs rank >= 1")
+    low, high = product_rank_interval(biform_rank(form), form.n_vars)
     rank_product = biform_rank(multiply_signed_norm(form, norm))
-    low, high = product_rank_interval(r, form.n_vars)
     return ProductRankReport(rank_product, low, high, low <= rank_product <= high)
 
 
@@ -824,19 +812,17 @@ def parse_biform(text: str) -> HermitianBiform:
     conjugates, and a listed diagonal must be real, or the constructor
     rejects the matrix.  Every schema fault raises ``ValueError``.
     """
-    doc = _json_object(json.loads(text), ("n_vars", "d", "terms"), "biform document")
+    doc = _json_document(text, ("n_vars", "d", "terms"), "biform document")
     n_vars = _json_int(doc["n_vars"], "n_vars")
     d = _json_int(doc["d"], "d")
-    terms = []
+    index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d))}
+    cells: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     for term in _json_list(doc["terms"], "terms"):
         term = _json_object(term, ("alpha", "beta", "coeff"), "term")
         alpha = tuple(_json_int(e, "exponent") for e in _json_list(term["alpha"], "alpha"))
         beta = tuple(_json_int(e, "exponent") for e in _json_list(term["beta"], "beta"))
         coeff = _json_object(term["coeff"], ("re", "im"), "coeff")
-        terms.append((alpha, beta, _json_rational(coeff["re"], "re"), _json_rational(coeff["im"], "im")))
-    index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d))}
-    cells: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-    for alpha, beta, re, im in terms:
+        re, im = _json_rational(coeff["re"], "re"), _json_rational(coeff["im"], "im")
         if alpha not in index or beta not in index:
             raise ValueError(f"term ({alpha},{beta}) is not of bidegree ({d},{d}) in {n_vars} variables")
         key = index[alpha], index[beta]

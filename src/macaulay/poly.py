@@ -713,6 +713,16 @@ def format_ideal(ideal: GradedIdeal) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _json_document(text: str, keys: tuple[str, ...], what: str) -> dict:
+    """The JSON object ``text`` holds, by :func:`_json_object`; a document
+    nested too deeply for the parser raises ``ValueError`` too."""
+    try:
+        value = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} nests too deeply") from None
+    return _json_object(value, keys, what)
+
+
 def _json_object(value, keys: tuple[str, ...], what: str) -> dict:
     """``value`` if it is a JSON object holding every key, else ValueError."""
     if not isinstance(value, dict):
@@ -766,7 +776,7 @@ def parse_ideal(text: str) -> GradedIdeal:
     unit ideal and every Hilbert value would be the full space.  Every
     schema fault raises ``ValueError``.
     """
-    doc = _json_object(json.loads(text), ("n_vars", "generators"), "ideal document")
+    doc = _json_document(text, ("n_vars", "generators"), "ideal document")
     n_vars = _json_int(doc["n_vars"], "n_vars")
     gens = []
     for gen_terms in _json_list(doc["generators"], "generators"):

@@ -253,6 +253,8 @@ BIFORM_TERM = '{"alpha": [1, 0], "beta": [1, 0], "coeff": {"re": %s, "im": "0"}}
         ("hermitian", '{"n_vars": 2, "d": 1, "terms": 5}'),
         ("hermitian", "[1, 2]"),
         ("hermitian", '{"n_vars": 2, "d": 1, "terms": [%s]}' % (BIFORM_TERM % "null")),
+        pytest.param("verify", "[" * 100000 + "]" * 100000, id="verify-nested-100000-deep"),
+        pytest.param("hermitian", "[" * 100000 + "]" * 100000, id="hermitian-nested-100000-deep"),
     ],
 )
 def test_schema_faults_exit_2(capsys, tmp_path, command, text):

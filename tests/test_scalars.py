@@ -5,6 +5,7 @@ a bool, a float, a string or anything else raises ``TypeError``.  The rank
 routines read no scalar: they take the integers of the reader."""
 
 import json
+import operator
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,70 @@ def test_gaussian_rational_refuses_inexact_parts(bad):
     assert GaussianRational(1) == 1 and GaussianRational(1) != bad
     with pytest.raises(TypeError):
         GaussianRational(1) + bad
+
+
+def _pair(value):
+    return (value.re, value.im) if isinstance(value, GaussianRational) else (value, 0)
+
+
+def _pair_op(symbol, x, y):
+    """The exact (re, im) of x <symbol> y, on pairs of rationals."""
+    (a, b), (c, d) = _pair(x), _pair(y)
+    if symbol == "+":
+        return a + c, b + d
+    if symbol == "-":
+        return a - c, b - d
+    if symbol == "*":
+        return a * c - b * d, a * d + b * c
+    n = Fraction(c * c + d * d)
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+OPERATORS = {"==": operator.eq, "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@pytest.mark.parametrize("reflected", [False, True], ids=["forward", "reflected"])
+@pytest.mark.parametrize("symbol", list(OPERATORS))
+def test_gaussian_rational_operands_follow_the_constructor(symbol, reflected):
+    """An operand of ``==`` and of the arithmetic, on either side, is taken
+    iff the constructor takes it: ints, Fractions and Gaussian rationals
+    give the exact value, and a float, a string, a bool or a tuple makes
+    the arithmetic raise ``TypeError`` and ``==`` come out False."""
+    op = OPERATORS[symbol]
+    g = GaussianRational(Fraction(1, 2), -3)
+    for other in (2, Fraction(-2, 3), GaussianRational(1, Fraction(1, 4)), GaussianRational(Fraction(1, 2), -3)):
+        x, y = (other, g) if reflected else (g, other)
+        if symbol == "==":
+            assert op(x, y) is (_pair(x) == _pair(y))
+            continue
+        value = op(x, y)
+        assert isinstance(value, GaussianRational) and (value.re, value.im) == _pair_op(symbol, x, y)
+    for bad in (0.5, "1", True, (1, 0)):
+        x, y = (bad, g) if reflected else (g, bad)
+        if symbol == "==":
+            assert op(x, y) is False
+            continue
+        with pytest.raises(TypeError):
+            op(x, y)
+
+
+@pytest.mark.parametrize(
+    "first, second, total",
+    [
+        ((1, 2), (Fraction(1, 3), -1), (Fraction(4, 3), 1)),
+        ((1, 2), Fraction(1, 3), (Fraction(4, 3), 2)),
+        (Fraction(1, 3), (1, 2), (Fraction(4, 3), 2)),
+        ((1, 2), GaussianRational(Fraction(1, 3), 5), (Fraction(4, 3), 7)),
+    ],
+    ids=["tuple+tuple", "tuple+Fraction", "Fraction+tuple", "tuple+GaussianRational"],
+)
+def test_biform_from_terms_sums_repeated_pairs_of_every_exact_scalar(first, second, total):
+    cross, mirror = ((1, 0), (0, 1)), ((0, 1), (1, 0))
+    conj = (*mirror, GaussianRational(*total).conjugate())
+    repeated = biform_from_terms(2, 1, [(*cross, first), (*cross, second), conj])
+    assert repeated == biform_from_terms(2, 1, [(*cross, GaussianRational(*total)), conj])
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        biform_from_terms(2, 1, [(*cross, first), (*cross, (1, 0.5)), conj])
 
 
 def test_format_ideal_writes_rationals_only():
