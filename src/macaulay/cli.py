@@ -45,7 +45,8 @@ class Report:
         return cls(doc["command"], doc["inputs"], doc["outputs"], doc["verdicts"])
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """The report as ``json.dumps(self.to_dict(), indent=2)`` writes it."""
+        return poly._json_text(self.to_dict())
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]

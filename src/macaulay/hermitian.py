@@ -19,7 +19,6 @@ anywhere.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +36,7 @@ from .poly import (
     _json_list,
     _json_object,
     _json_rational,
+    _json_text,
     exact_rank,
     graded_piece_dim,
     monomials_of_degree,
@@ -97,7 +97,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value equals its real part, so it hashes as that part does
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
@@ -781,22 +782,32 @@ def verify_ideal_containment(
 # Shared text format for biforms
 # ---------------------------------------------------------------------------
 
+# The largest basis, C(n_vars - 1 + d, d) monomials, that ``parse_biform``
+# builds: its cell matrix has the square of that many entries.
+MAX_BIFORM_DIM = 1000
+
+
 def format_biform(form: HermitianBiform) -> str:
     """Serialize to the shared JSON document.  Only the upper triangle is
     written, straight from (den, re, im); parsing restores the rest by
-    Hermitian completion.  All rationals are "p/q" strings, so the round
-    trip is bit exact."""
+    Hermitian completion.  All rationals are "p/q" strings, each cell
+    written as ``str(Fraction(v, den))`` would write it, so the round trip
+    is bit exact."""
     basis, den, re = form.basis, form.den, form.re
     im = form.im or ((0,) * form.dim,) * form.dim
-    part = str if den == 1 else lambda v: str(Fraction(v, den))
+
+    def part(v: int) -> str:
+        g = math.gcd(v, den)
+        return str(v // g) if g == den else f"{v // g}/{den // g}"
+
     terms = [
-        {"alpha": list(basis[i]), "beta": list(basis[j]), "coeff": {"re": part(re[i][j]), "im": part(im[i][j])}}
+        {"alpha": basis[i], "beta": basis[j], "coeff": {"re": part(re[i][j]), "im": part(im[i][j])}}
         for i in range(form.dim)
         for j in range(i, form.dim)
         if re[i][j] or im[i][j]
     ]
     doc = {"n_vars": form.n_vars, "d": form.half_degree, "terms": terms}
-    return json.dumps(doc, indent=2)
+    return _json_text(doc)
 
 
 def parse_biform(text: str) -> HermitianBiform:
@@ -810,11 +821,15 @@ def parse_biform(text: str) -> HermitianBiform:
     completion; unlisted pairs with no listed mirror are zero.  When both
     (alpha, beta) and (beta, alpha) are listed they must actually be
     conjugates, and a listed diagonal must be real, or the constructor
-    rejects the matrix.  Every schema fault raises ``ValueError``.
+    rejects the matrix.  Every schema fault raises ``ValueError``, and so
+    does a basis of more than ``MAX_BIFORM_DIM`` monomials, before any of
+    it is built.
     """
     doc = _json_document(text, ("n_vars", "d", "terms"), "biform document")
     n_vars = _json_int(doc["n_vars"], "n_vars")
     d = _json_int(doc["d"], "d")
+    if n_vars >= 1 and d >= 0 and (dim := math.comb(n_vars - 1 + d, d)) > MAX_BIFORM_DIM:
+        raise ValueError(f"a biform of degree {d} in {n_vars} variables has {dim} basis monomials, over {MAX_BIFORM_DIM}")
     index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d))}
     cells: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     for term in _json_list(doc["terms"], "terms"):

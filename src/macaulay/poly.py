@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .binom import _split_failures, shift_apply
@@ -704,13 +705,45 @@ def format_ideal(ideal: GradedIdeal) -> str:
         "n_vars": ideal.n_vars,
         "generators": [
             [
-                {"coeff": str(coeff), "exponents": list(mono)}
+                {"coeff": str(coeff), "exponents": mono}
                 for mono, coeff in sorted(g.terms.items(), key=lambda kv: kv[0][::-1])
             ]
             for g in ideal.generators
         ],
     }
-    return json.dumps(doc, indent=2)
+    return _json_text(doc)
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, without the standard
+    library's pure-Python encoder, which any ``indent`` selects.
+
+    Takes dicts with str keys, lists, tuples, strs, ints, bools and None,
+    matched by exact type; anything else, a float or a non-str key
+    included, raises ``TypeError``, as ``json.dumps`` does for a Fraction.
+    Strings are escaped by the standard library's C escaper.  ``indent``
+    is the line break and indentation that precede a closing bracket.
+    """
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [_json_str(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + indent + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _json_document(text: str, keys: tuple[str, ...], what: str) -> dict:

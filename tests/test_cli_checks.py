@@ -3,6 +3,7 @@ Hilbert function, the rank == p + q cross-check of a Hermitian form, and
 argument ranges refused before any work starts."""
 
 import json
+import math
 
 import pytest
 
@@ -201,3 +202,34 @@ def test_lookup_fault_inside_a_command_exits_3(capsys, monkeypatch, fault):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal error: {fault}\n"
+
+
+@pytest.mark.parametrize("command", ["hermitian", "min-sos"])
+def test_an_oversized_biform_is_refused_before_its_basis_is_built(capsys, monkeypatch, tmp_path, command):
+    """C(39, 20), about 6.9e10 basis monomials, asked for in 37 bytes."""
+    path = tmp_path / "big.json"
+    path.write_text('{"n_vars": 20, "d": 20, "terms": []}')
+    monkeypatch.setattr(hermitian, "monomials_of_degree", lambda *args: pytest.fail("built a basis"))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: a biform of degree 20 in 20 variables has {math.comb(39, 20)} basis monomials,"
+        f" over {hermitian.MAX_BIFORM_DIM}\n"
+    )
+
+
+def test_the_largest_allowed_biform_basis_gets_built(monkeypatch):
+    """C(n + 2, 2) for 3 variables: 990 monomials at d = 43, 1035 at d = 44."""
+    class Built(Exception):
+        pass
+
+    def build(n_vars, d):
+        raise Built(math.comb(n_vars - 1 + d, d))
+
+    monkeypatch.setattr(hermitian, "monomials_of_degree", build)
+    assert math.comb(45, 43) <= hermitian.MAX_BIFORM_DIM < math.comb(46, 44)
+    with pytest.raises(Built, match="^990$"):
+        hermitian.parse_biform('{"n_vars": 3, "d": 43, "terms": []}')
+    with pytest.raises(ValueError, match="has 1035 basis monomials"):
+        hermitian.parse_biform('{"n_vars": 3, "d": 44, "terms": []}')

@@ -287,6 +287,55 @@ def test_ideal_serialization_round_trip():
     assert format_ideal(again) == text
 
 
+# The bytes format_ideal writes for the ideal below.  The file format is a
+# contract, so they must not change with the writer.
+FIXED_IDEAL_TEXT = """{
+  "n_vars": 2,
+  "generators": [
+    [
+      {
+        "coeff": "1/2",
+        "exponents": [
+          2,
+          0
+        ]
+      },
+      {
+        "coeff": "-3",
+        "exponents": [
+          1,
+          1
+        ]
+      },
+      {
+        "coeff": "-7/4",
+        "exponents": [
+          0,
+          2
+        ]
+      }
+    ],
+    [
+      {
+        "coeff": "5/3",
+        "exponents": [
+          0,
+          1
+        ]
+      }
+    ]
+  ]
+}"""
+
+
+def test_format_ideal_bytes_are_stable():
+    f = HomogPoly(2, 2, {(2, 0): Fraction(1, 2), (1, 1): -3, (0, 2): Fraction(-7, 4)})
+    g = HomogPoly(2, 1, {(0, 1): Fraction(5, 3)})
+    ideal = GradedIdeal(2, (f, g))
+    assert format_ideal(ideal) == FIXED_IDEAL_TEXT
+    assert parse_ideal(FIXED_IDEAL_TEXT) == ideal
+
+
 def _json_rational_by_fraction(value, what):
     """The rational reader as ``Fraction`` alone: ``Fraction(value)`` for
     a str or an int, refusal for a bool, a float or anything else."""

@@ -148,6 +148,15 @@ def test_biform_from_terms_sums_repeated_pairs_of_every_exact_scalar(first, seco
         biform_from_terms(2, 1, [(*cross, first), (*cross, (1, 0.5)), conj])
 
 
+def test_a_real_gaussian_rational_hashes_as_its_real_part():
+    assert hash(GaussianRational(1)) == hash(1)
+    assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(GaussianRational(Fraction(-3, 4), 0)) == hash(Fraction(-3, 4))
+    assert len({GaussianRational(1), 1, Fraction(1)}) == 1
+    assert {1: "a"}.get(GaussianRational(1)) == "a"
+    assert len({GaussianRational(1, 2), GaussianRational(Fraction(2, 2), 2), GaussianRational(1, -2)}) == 2
+
+
 def test_format_ideal_writes_rationals_only():
     ideal = GradedIdeal(2, (HomogPoly(2, 1, {(1, 0): 3, (0, 1): Fraction(-1, 2)}),))
     assert [t["coeff"] for t in json.loads(format_ideal(ideal))["generators"][0]] == ["3", "-1/2"]
