@@ -263,8 +263,7 @@ def _require_hermitian(den: int, re: Sequence[Sequence[int]], im: Sequence[Seque
 
 
 def zero_biform(n_vars: int, d: int) -> HermitianBiform:
-    dim = len(monomials_of_degree(n_vars, d))
-    return HermitianBiform(n_vars, d, [[0] * dim for _ in range(dim)])
+    return biform_from_terms(n_vars, d, ())
 
 
 def biform_from_terms(
@@ -273,23 +272,26 @@ def biform_from_terms(
     """Build a biform from (alpha, beta, coeff) triples meaning
     coeff * z^alpha * conj(z)^beta.
 
-    Coefficients are any exact scalars the constructor takes, and repeated
-    pairs are summed through the same reader; unlisted pairs are zero.
-    Raises if any exponent tuple has the wrong degree or if the assembled
-    matrix fails to be Hermitian.  The constructor converts the matrix to
-    ints once and checks the symmetry on them.
+    Coefficients are any exact scalars the constructor takes.  A pair
+    listed once goes into the matrix as it is; a repeated pair is summed,
+    through the same reader, as each repeat is inserted.  Unlisted pairs
+    are zero.  Raises if any exponent tuple has the wrong degree or if the
+    assembled matrix fails to be Hermitian.  The constructor converts the
+    matrix to ints once and checks the symmetry on them.
     """
     index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d))}
-    cells: dict[tuple[int, int], list] = {}
+    matrix = [[0] * len(index) for _ in index]
+    seen = set()
     for alpha, beta, coeff in terms:
         alpha, beta = tuple(alpha), tuple(beta)
         if alpha not in index or beta not in index:
             raise ValueError(f"term ({alpha},{beta}) is not of bidegree ({d},{d}) in {n_vars} variables")
-        cells.setdefault((index[alpha], index[beta]), []).append(coeff)
-    matrix = [[0] * len(index) for _ in index]
-    for (r, c), coeffs in cells.items():
-        re, im, den = _exact_parts(coeffs)
-        matrix[r][c] = Fraction(sum(re), den), Fraction(sum(im), den)
+        r, c = index[alpha], index[beta]
+        if (r, c) in seen:
+            re, im, den = _exact_parts((matrix[r][c], coeff))
+            coeff = Fraction(sum(re), den), Fraction(sum(im), den)
+        seen.add((r, c))
+        matrix[r][c] = coeff
     return HermitianBiform(n_vars, d, matrix)
 
 
@@ -783,7 +785,7 @@ def verify_ideal_containment(
 # ---------------------------------------------------------------------------
 
 # The largest basis, C(n_vars - 1 + d, d) monomials, that ``parse_biform``
-# builds: its cell matrix has the square of that many entries.
+# builds: its coefficient matrix has the square of that many entries.
 MAX_BIFORM_DIM = 1000
 
 
@@ -815,38 +817,28 @@ def parse_biform(text: str) -> HermitianBiform:
 
     Each term is {"alpha": [...], "beta": [...], "coeff": {"re": "p/q",
     "im": "p/q"}} and contributes coeff * z^alpha * conj(z)^beta.  The
-    exact (re, im) parts go straight into a dim x dim cell matrix:
-    repeated pairs are summed, and a cell (beta, alpha) that no term lists
-    gets the conjugate of the sum at (alpha, beta), by Hermitian
-    completion; unlisted pairs with no listed mirror are zero.  When both
-    (alpha, beta) and (beta, alpha) are listed they must actually be
-    conjugates, and a listed diagonal must be real, or the constructor
-    rejects the matrix.  Every schema fault raises ``ValueError``, and so
-    does a basis of more than ``MAX_BIFORM_DIM`` monomials, before any of
-    it is built.
+    listed terms, as exact (re, im) parts, and the conjugate of each term
+    whose mirror (beta, alpha) is not listed go to
+    :func:`biform_from_terms`, which sums repeated pairs and fills the
+    rest with zeros; so an unlisted mirror is the conjugate of the sum at
+    (alpha, beta), by Hermitian completion.  When both (alpha, beta) and
+    (beta, alpha) are listed they must actually be conjugates, and a
+    listed diagonal must be real, or the constructor rejects the matrix.
+    Every schema fault raises ``ValueError``, and so does a basis of more
+    than ``MAX_BIFORM_DIM`` monomials, before any of it is built.
     """
     doc = _json_document(text, ("n_vars", "d", "terms"), "biform document")
     n_vars = _json_int(doc["n_vars"], "n_vars")
     d = _json_int(doc["d"], "d")
     if n_vars >= 1 and d >= 0 and (dim := math.comb(n_vars - 1 + d, d)) > MAX_BIFORM_DIM:
         raise ValueError(f"a biform of degree {d} in {n_vars} variables has {dim} basis monomials, over {MAX_BIFORM_DIM}")
-    index = {m: i for i, m in enumerate(monomials_of_degree(n_vars, d))}
-    cells: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+    terms = []
     for term in _json_list(doc["terms"], "terms"):
         term = _json_object(term, ("alpha", "beta", "coeff"), "term")
         alpha = tuple(_json_int(e, "exponent") for e in _json_list(term["alpha"], "alpha"))
         beta = tuple(_json_int(e, "exponent") for e in _json_list(term["beta"], "beta"))
         coeff = _json_object(term["coeff"], ("re", "im"), "coeff")
-        re, im = _json_rational(coeff["re"], "re"), _json_rational(coeff["im"], "im")
-        if alpha not in index or beta not in index:
-            raise ValueError(f"term ({alpha},{beta}) is not of bidegree ({d},{d}) in {n_vars} variables")
-        key = index[alpha], index[beta]
-        if key in cells:
-            re, im = cells[key][0] + re, cells[key][1] + im
-        cells[key] = re, im
-    matrix = [[0] * len(index) for _ in index]
-    for (r, c), (re, im) in cells.items():
-        matrix[r][c] = re, im
-        if (c, r) not in cells:
-            matrix[c][r] = re, -im
-    return HermitianBiform(n_vars, d, matrix)
+        terms.append((alpha, beta, (_json_rational(coeff["re"], "re"), _json_rational(coeff["im"], "im"))))
+    listed = {(alpha, beta) for alpha, beta, _ in terms}
+    mirrors = [(beta, alpha, (re, -im)) for alpha, beta, (re, im) in terms if (beta, alpha) not in listed]
+    return biform_from_terms(n_vars, d, terms + mirrors)

@@ -256,18 +256,19 @@ def _exact_parts(values: Iterable) -> tuple[list[int], list[int], int]:
     The package's one scalar reader: it takes ints, Fractions, ``(re, im)``
     pairs of those and objects with such ``re``/``im`` attributes (Gaussian
     rationals), and raises ``TypeError`` on anything else, bools included."""
-    pairs = []
+    re, im = [], []
     for v in values:
         if type(v) in _EXACT_TYPES:
-            pairs.append((v, 0))
+            re.append(v)
+            im.append(0)
             continue
-        re, im = v if type(v) is tuple and len(v) == 2 else (getattr(v, "re", None), getattr(v, "im", None))
-        if not (type(re) in _EXACT_TYPES and type(im) in _EXACT_TYPES):
+        a, b = v if type(v) is tuple and len(v) == 2 else (getattr(v, "re", None), getattr(v, "im", None))
+        if not (type(a) in _EXACT_TYPES and type(b) in _EXACT_TYPES):
             raise TypeError(f"not an exact scalar: {v!r}")
-        pairs.append((re, im))
-    den = math.lcm(*[x.denominator for pair in pairs for x in pair])
-    re = [a.numerator * (den // a.denominator) for a, _ in pairs]
-    return re, [b.numerator * (den // b.denominator) for _, b in pairs], den
+        re.append(a)
+        im.append(b)
+    den = math.lcm(*{x.denominator for part in (re, im) for x in part})
+    return [x.numerator * (den // x.denominator) for x in re], [x.numerator * (den // x.denominator) for x in im], den
 
 
 def _echelon_rank(rows: list[dict[int, int]]) -> int:

@@ -4,6 +4,7 @@ argument ranges refused before any work starts."""
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -233,3 +234,18 @@ def test_the_largest_allowed_biform_basis_gets_built(monkeypatch):
         hermitian.parse_biform('{"n_vars": 3, "d": 43, "terms": []}')
     with pytest.raises(ValueError, match="has 1035 basis monomials"):
         hermitian.parse_biform('{"n_vars": 3, "d": 44, "terms": []}')
+
+
+def test_parsing_a_biform_costs_a_few_references_per_matrix_cell():
+    """A document with no terms still fills a dim x dim matrix: 231
+    monomials at n = 3, d = 20, 53361 cells.  Reading the cells as two
+    lists of parts, with the lcm over the distinct denominators, peaks at
+    about 42 bytes a cell, against 105 for an (re, im) tuple a cell."""
+    poly.monomials_of_degree(3, 20)
+    tracemalloc.start()
+    try:
+        hermitian.parse_biform('{"n_vars": 3, "d": 20, "terms": []}')
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 231 ** 2 < 64

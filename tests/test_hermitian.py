@@ -816,7 +816,15 @@ def _outcome(parse, text):
         return str(exc)
 
 
+TWICE_NO_MIRROR = json.dumps({"n_vars": 2, "d": 1, "terms": [
+    {"alpha": [1, 0], "beta": [0, 1], "coeff": {"re": "1", "im": "2"}},
+    {"alpha": [0, 1], "beta": [0, 1], "coeff": {"re": "3", "im": "0"}},
+    {"alpha": [1, 0], "beta": [0, 1], "coeff": {"re": "1/2", "im": "-1/3"}},
+]})
+
+
 @given(biform_documents())
+@example(TWICE_NO_MIRROR)
 @settings(max_examples=300, deadline=None)
 def test_parse_biform_matches_the_term_route(text):
     assert _outcome(parse_biform, text) == _outcome(_parse_biform_by_terms, text)

@@ -130,22 +130,24 @@ def test_gaussian_rational_operands_follow_the_constructor(symbol, reflected):
 
 
 @pytest.mark.parametrize(
-    "first, second, total",
+    "listed, total",
     [
-        ((1, 2), (Fraction(1, 3), -1), (Fraction(4, 3), 1)),
-        ((1, 2), Fraction(1, 3), (Fraction(4, 3), 2)),
-        (Fraction(1, 3), (1, 2), (Fraction(4, 3), 2)),
-        ((1, 2), GaussianRational(Fraction(1, 3), 5), (Fraction(4, 3), 7)),
+        (((1, 2), (Fraction(1, 3), -1)), (Fraction(4, 3), 1)),
+        (((1, 2), Fraction(1, 3)), (Fraction(4, 3), 2)),
+        ((Fraction(1, 3), (1, 2)), (Fraction(4, 3), 2)),
+        (((1, 2), GaussianRational(Fraction(1, 3), 5)), (Fraction(4, 3), 7)),
+        ((2, (Fraction(1, 2), -1), GaussianRational(Fraction(-1, 3), Fraction(1, 4))), (Fraction(13, 6), Fraction(-3, 4))),
     ],
-    ids=["tuple+tuple", "tuple+Fraction", "Fraction+tuple", "tuple+GaussianRational"],
+    ids=["tuple+tuple", "tuple+Fraction", "Fraction+tuple", "tuple+GaussianRational", "int+tuple+GaussianRational"],
 )
-def test_biform_from_terms_sums_repeated_pairs_of_every_exact_scalar(first, second, total):
+def test_biform_from_terms_sums_repeated_pairs_of_every_exact_scalar(listed, total):
+    """Each repeat is added to the sum so far as it is inserted."""
     cross, mirror = ((1, 0), (0, 1)), ((0, 1), (1, 0))
     conj = (*mirror, GaussianRational(*total).conjugate())
-    repeated = biform_from_terms(2, 1, [(*cross, first), (*cross, second), conj])
+    repeated = biform_from_terms(2, 1, [(*cross, c) for c in listed] + [conj])
     assert repeated == biform_from_terms(2, 1, [(*cross, GaussianRational(*total)), conj])
     with pytest.raises(TypeError, match="not an exact scalar"):
-        biform_from_terms(2, 1, [(*cross, first), (*cross, (1, 0.5)), conj])
+        biform_from_terms(2, 1, [(*cross, listed[0]), (*cross, (1, 0.5)), conj])
 
 
 def test_a_real_gaussian_rational_hashes_as_its_real_part():
