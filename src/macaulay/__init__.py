@@ -4,7 +4,6 @@ arithmetic."""
 
 from .binom import (
     MacaulayRep,
-    ShiftSpec,
     binom_coeff,
     macaulay_rep,
     rep_value,
@@ -13,7 +12,6 @@ from .binom import (
     shift_apply,
     shift_difference_bound_holds,
     shift_monotone_in_value_holds,
-    split_shift_identity,
 )
 from .hermitian import (
     GaussianRational,
@@ -25,9 +23,7 @@ from .hermitian import (
     biform_from_terms,
     biform_rank,
     biform_signature,
-    biform_terms,
     decompose,
-    divide_norm_power,
     find_min_sos_exponent,
     format_biform,
     is_sum_of_squares,
@@ -35,7 +31,6 @@ from .hermitian import (
     multiply_signed_norm,
     parse_biform,
     product_rank_interval,
-    product_rank_interval_closed_form,
     recompose_squares,
     sos_max_negative_part,
     sos_min_positive_part,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
 def binom_coeff(a: int, b: int) -> int:
@@ -61,13 +61,6 @@ class MacaulayRep:
     @property
     def value(self) -> int:
         return rep_value(self)
-
-
-class ShiftSpec(NamedTuple):
-    """A lower-index shift s and upper-index shift t, either possibly negative."""
-
-    s: int
-    t: int
 
 
 def macaulay_rep(a: int, n: int) -> MacaulayRep:
@@ -125,29 +118,13 @@ def shift_apply(a: int, n: int, s: int, t: int) -> int:
     return sum(binom_coeff(u + t, j + s) for u, j in rep.terms)
 
 
-def split_shift_identity(a: int, b: int, m: int, d: int, s: int) -> bool:
-    """Check the complementary-split shift identity for a + b = C(m+d, d).
-
-    For any split of C(m+d, d) into a + b with m, d, s >= 1,
+def scan_split_shift_identity(m_max: int, d_max: int, s_max: int) -> list[tuple[int, int, int, int, int]]:
+    """Exhaustively test the complementary-split shift identity
 
         a_(m)|_0^s  +  b_(d)|_s^s  ==  C(m+d+s, d+s)
 
-    must hold.  Raises ValueError when a + b is not C(m+d, d); a False
-    return would indicate a bug in the shift machinery, not in the
-    identity.
-    """
-    if min(m, d, s) < 1:
-        raise ValueError("m, d, s must all be >= 1")
-    total = math.comb(m + d, d)
-    if a + b != total:
-        raise ValueError(f"split {a} + {b} != C({m + d},{d}) = {total}")
-    lhs = shift_apply(a, m, 0, s) + shift_apply(b, d, s, s)
-    return lhs == math.comb(m + d + s, d + s)
-
-
-def scan_split_shift_identity(m_max: int, d_max: int, s_max: int) -> list[tuple[int, int, int, int, int]]:
-    """Exhaustively test split_shift_identity over all splits for every
-    1 <= m <= m_max, 1 <= d <= d_max, 1 <= s <= s_max.
+    over every split a + b = C(m+d, d), for every 1 <= m <= m_max,
+    1 <= d <= d_max, 1 <= s <= s_max.
 
     Returns the list of failing (a, b, m, d, s) tuples, empty on success,
     ordered by m, then d, then s, then a.
@@ -219,8 +196,8 @@ class _TermValues(dict):
 def _split_failures(m: int, d: int, shifts: Iterable[int]) -> list[tuple[int, int, int, int, int]]:
     """Failing (a, b, m, d, s) splits of the split identity, in s then a order.
 
-    For every s in ``shifts`` and every split a + b = C(m+d, d) this is
-    ``split_shift_identity(a, b, m, d, s)``: it checks
+    For every s in ``shifts`` and every split a + b = C(m+d, d) it checks
+    the split identity a_(m)|_0^s + b_(d)|_s^s == C(m+d+s, d+s), that is
 
         sum C(u+s, j) over rep_m(a)  +  sum C(u+s, j+s) over rep_d(b)
             ==  C(m+d+s, d+s).

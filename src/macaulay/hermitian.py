@@ -11,10 +11,9 @@ elimination over the Gaussian integers).  The signature and the square
 decomposition come from one fraction-free congruence kernel over the
 Gaussian integers on ``re`` and ``im``; the rank is kept on the other
 kernel so that rank == p + q checks one against the other, as the
-``hermitian`` subcommand does before it reports.  Multiplication and
-exact division by signed norms are integer-linear maps applied to ``re``
-and ``im`` alike, over the same ``den``.  No floating point appears
-anywhere.
+``hermitian`` subcommand does before it reports.  Multiplication by a
+signed norm is an integer-linear map applied to ``re`` and ``im`` alike,
+over the same ``den``.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -295,17 +294,6 @@ def biform_from_terms(
     return HermitianBiform(n_vars, d, matrix)
 
 
-def biform_terms(form: HermitianBiform) -> list[tuple[Monomial, Monomial, GaussianRational]]:
-    """The nonzero (alpha, beta, coeff) triples of a biform."""
-    basis = form.basis
-    out = []
-    for i, row in enumerate(form.matrix):
-        for j, v in enumerate(row):
-            if v:
-                out.append((basis[i], basis[j], v))
-    return out
-
-
 def recompose_squares(
     n_vars: int, d: int, weighted: Iterable[tuple[object, HomogPoly]]
 ) -> HermitianBiform:
@@ -573,57 +561,6 @@ def multiply_norm_power(form: HermitianBiform, power: int) -> HermitianBiform:
     return out
 
 
-def divide_norm_power(form: HermitianBiform, power: int) -> Optional[HermitianBiform]:
-    """Exact quotient by the Euclidean norm squared to the given power, or
-    None when the form is not divisible.
-
-    One division step solves F[A][B] = sum_j M[A-e_j][B-e_j] for M row by
-    row: with A = alpha + e_1 and B = beta + e_1, F[A][B] is M[alpha][beta]
-    plus entries in the rows A - e_j (j > 1), which come before alpha in
-    the basis order (they agree with alpha in the exponents of z_n down to
-    z_(j+1) and have a smaller exponent of z_j).  So once a row of M is
-    solved, its j > 1 terms are subtracted from the rows of F they land
-    in, through the table of :func:`multiply_signed_norm`.  It then
-    certifies the candidate by multiplying back.
-    """
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    out = form
-    for _ in range(power):
-        out = _divide_norm_once(out)
-        if out is None:
-            return None
-    return out
-
-
-def _divide_norm_once(form: HermitianBiform) -> Optional[HermitianBiform]:
-    if form.half_degree < 1:
-        return None
-    n, d = form.n_vars, form.half_degree - 1
-    first, *others = _raised(n, d)
-
-    def divided(mat):
-        rest = [list(row) for row in mat]
-        out = []
-        for a, ia in enumerate(first):
-            solved = [rest[ia][ib] for ib in first]
-            out.append(solved)
-            for up in others:
-                row = rest[up[a]]
-                for b, v in zip(up, solved):
-                    row[b] -= v
-        return out
-
-    re, im = (divided(part) if part else None for part in (form.re, form.im))
-    candidate = HermitianBiform._from_ints(n, d, form.den, re, im)
-    # M -> M * ||z||^2 is injective and commutes with the conjugate transpose,
-    # so a candidate that multiplies back to the Hermitian form is Hermitian,
-    # and in least terms as the form is; any other candidate is dropped.
-    if multiply_signed_norm(candidate, SignedNorm(n, 0)) != form:
-        return None
-    return candidate
-
-
 # ---------------------------------------------------------------------------
 # Rank and signature bounds for products with signed norms
 # ---------------------------------------------------------------------------
@@ -636,18 +573,6 @@ def product_rank_interval(r: int, n: int) -> tuple[int, int]:
     if r < 1:
         raise ValueError("rank bounds need rank >= 1; a zero form has no interval")
     return 2 * shift_apply(r, n - 1, 0, 1) - r * n, r * n
-
-
-def product_rank_interval_closed_form(r: int, n: int) -> tuple[int, int]:
-    """Closed form (r*n - r*(r-1), r*n) of the product rank interval,
-    valid for r <= n - 1; must agree with :func:`product_rank_interval`."""
-    if n < 2:
-        raise ValueError("need at least 2 variables")
-    if r < 1:
-        raise ValueError("rank bounds need rank >= 1")
-    if r > n - 1:
-        raise ValueError(f"closed form requires r <= n - 1, got r={r}, n={n}")
-    return r * n - r * (r - 1), r * n
 
 
 def sos_min_positive_part(r: int, n: int, l: int) -> Fraction:
@@ -785,7 +710,9 @@ def verify_ideal_containment(
 # ---------------------------------------------------------------------------
 
 # The largest basis, C(n_vars - 1 + d, d) monomials, that ``parse_biform``
-# builds: its coefficient matrix has the square of that many entries.
+# builds: its coefficient matrix has the square of that many entries.  It
+# also bounds n_vars and d, which the basis size alone does not when d = 0
+# or n_vars = 1.
 MAX_BIFORM_DIM = 1000
 
 
@@ -824,12 +751,16 @@ def parse_biform(text: str) -> HermitianBiform:
     (alpha, beta), by Hermitian completion.  When both (alpha, beta) and
     (beta, alpha) are listed they must actually be conjugates, and a
     listed diagonal must be real, or the constructor rejects the matrix.
-    Every schema fault raises ``ValueError``, and so does a basis of more
-    than ``MAX_BIFORM_DIM`` monomials, before any of it is built.
+    Every schema fault raises ``ValueError``, and so does an ``n_vars`` or
+    ``d`` over ``MAX_BIFORM_DIM`` or a basis of more than that many
+    monomials, before any of it is built.
     """
     doc = _json_document(text, ("n_vars", "d", "terms"), "biform document")
     n_vars = _json_int(doc["n_vars"], "n_vars")
     d = _json_int(doc["d"], "d")
+    for name, value in (("n_vars", n_vars), ("d", d)):
+        if value > MAX_BIFORM_DIM:
+            raise ValueError(f"{name} = {value} is over {MAX_BIFORM_DIM}")
     if n_vars >= 1 and d >= 0 and (dim := math.comb(n_vars - 1 + d, d)) > MAX_BIFORM_DIM:
         raise ValueError(f"a biform of degree {d} in {n_vars} variables has {dim} basis monomials, over {MAX_BIFORM_DIM}")
     terms = []

@@ -4,7 +4,9 @@ Each checks a main code path from a different direction: Macaulay
 representations by exhaustive search instead of greedy construction,
 monomial Hilbert values by counting instead of rank, congruences by
 explicit Gaussian-rational matrix products, and sum-of-squares instances
-accepted only through exact signature checks.  Diagonal Hermitian forms
+accepted only through exact signature checks.  ``biform_terms`` lists a
+biform's nonzero terms, and ``divide_norm_power`` undoes norm products by
+exact division, certified by multiplying back.  Diagonal Hermitian forms
 are read off integer polynomial products, with the least sum-of-squares
 power of one family in closed form.  ``integer_rows`` turns
 rows of exact scalars into the integer rows the rank routines take, by
@@ -17,14 +19,18 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Optional
 
 from macaulay.binom import MacaulayRep
 from macaulay.hermitian import (
     GaussianRational,
     HermitianBiform,
+    SignedNorm,
+    _raised,
     biform_signature,
     is_sum_of_squares,
     multiply_norm_power,
+    multiply_signed_norm,
     recompose_squares,
 )
 from macaulay.oracle import SplitMix64
@@ -204,6 +210,68 @@ def congruence_transform(form: HermitianBiform, c: list[list[GaussianRational]])
                 acc = acc + c[k][i].conjugate() * tmp[k][j]
             out[i][j] = acc
     return HermitianBiform(form.n_vars, form.half_degree, out)
+
+
+def biform_terms(form: HermitianBiform) -> list[tuple[Monomial, Monomial, GaussianRational]]:
+    """The nonzero (alpha, beta, coeff) triples of a biform."""
+    basis = form.basis
+    out = []
+    for i, row in enumerate(form.matrix):
+        for j, v in enumerate(row):
+            if v:
+                out.append((basis[i], basis[j], v))
+    return out
+
+
+def divide_norm_power(form: HermitianBiform, power: int) -> Optional[HermitianBiform]:
+    """Exact quotient by the Euclidean norm squared to the given power, or
+    None when the form is not divisible.
+
+    One division step solves F[A][B] = sum_j M[A-e_j][B-e_j] for M row by
+    row: with A = alpha + e_1 and B = beta + e_1, F[A][B] is M[alpha][beta]
+    plus entries in the rows A - e_j (j > 1), which come before alpha in
+    the basis order (they agree with alpha in the exponents of z_n down to
+    z_(j+1) and have a smaller exponent of z_j).  So once a row of M is
+    solved, its j > 1 terms are subtracted from the rows of F they land
+    in, through the table of :func:`multiply_signed_norm`.  It then
+    certifies the candidate by multiplying back.
+    """
+    if power < 0:
+        raise ValueError("power must be nonnegative")
+    out = form
+    for _ in range(power):
+        out = _divide_norm_once(out)
+        if out is None:
+            return None
+    return out
+
+
+def _divide_norm_once(form: HermitianBiform) -> Optional[HermitianBiform]:
+    if form.half_degree < 1:
+        return None
+    n, d = form.n_vars, form.half_degree - 1
+    first, *others = _raised(n, d)
+
+    def divided(mat):
+        rest = [list(row) for row in mat]
+        out = []
+        for a, ia in enumerate(first):
+            solved = [rest[ia][ib] for ib in first]
+            out.append(solved)
+            for up in others:
+                row = rest[up[a]]
+                for b, v in zip(up, solved):
+                    row[b] -= v
+        return out
+
+    re, im = (divided(part) if part else None for part in (form.re, form.im))
+    candidate = HermitianBiform._from_ints(n, d, form.den, re, im)
+    # M -> M * ||z||^2 is injective and commutes with the conjugate transpose,
+    # so a candidate that multiplies back to the Hermitian form is Hermitian,
+    # and in least terms as the form is; any other candidate is dropped.
+    if multiply_signed_norm(candidate, SignedNorm(n, 0)) != form:
+        return None
+    return candidate
 
 
 def random_sos_instance(n_vars: int, d: int, l: int, seed: int) -> HermitianBiform:

@@ -15,7 +15,6 @@ from macaulay.hermitian import (
     is_sum_of_squares,
     multiply_norm_power,
     product_rank_interval,
-    product_rank_interval_closed_form,
     sos_max_negative_part,
     sos_min_positive_part,
     sos_rank_interval,
@@ -80,9 +79,7 @@ def test_product_rank_closed_form():
     started = time.time()
     for n in range(2, 7):
         for r in range(1, n):
-            closed = product_rank_interval_closed_form(r, n)
-            assert closed == (r * n - r * (r - 1), r * n), (r, n)
-            assert product_rank_interval(r, n) == closed, (r, n)
+            assert product_rank_interval(r, n) == (r * n - r * (r - 1), r * n), (r, n)
     _report("product-rank-closed-form", started, "1 <= r <= n-1 <= 5")
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from macaulay import binom
 from macaulay.binom import (
     MacaulayRep,
-    ShiftSpec,
     binom_coeff,
     macaulay_rep,
     rep_value,
@@ -18,7 +17,6 @@ from macaulay.binom import (
     shift_apply,
     shift_difference_bound_holds,
     shift_monotone_in_value_holds,
-    split_shift_identity,
 )
 
 
@@ -101,11 +99,6 @@ def test_shift_apply_worked_values():
     assert shift_apply(5, 2, 1, 1) == 7
 
 
-def test_shift_spec_unpacks():
-    spec = ShiftSpec(s=0, t=1)
-    assert shift_apply(3, 3, *spec) == 9
-
-
 def test_shift_identity_is_identity():
     for n in range(1, 7):
         for a in range(0, 400):
@@ -125,34 +118,6 @@ def test_shift_negative_lower_index_uses_total_conventions():
     assert shift_apply(1, 1, -1, 0) == 1
     # pushing the lower index negative kills every term
     assert shift_apply(3, 1, -2, 0) == 0
-
-
-def test_split_identity_worked_values():
-    assert split_shift_identity(1, 1, 1, 1, 1)
-    for m in range(1, 5):
-        for d in range(1, 5):
-            total = math.comb(m + d, d)
-            for s in range(1, 4):
-                assert split_shift_identity(0, total, m, d, s)
-                assert split_shift_identity(total, 0, m, d, s)
-
-
-def test_split_identity_rejects_bad_split():
-    with pytest.raises(ValueError):
-        split_shift_identity(1, 1, 2, 2, 1)  # 2 != C(4,2)
-
-
-@given(
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=1, max_value=3),
-    st.data(),
-)
-@settings(max_examples=200)
-def test_split_identity_property(m, d, s, data):
-    total = math.comb(m + d, d)
-    a = data.draw(st.integers(min_value=0, max_value=total))
-    assert split_shift_identity(a, total - a, m, d, s)
 
 
 def test_scan_split_identity_small():

@@ -220,6 +220,26 @@ def test_an_oversized_biform_is_refused_before_its_basis_is_built(capsys, monkey
     )
 
 
+@pytest.mark.parametrize(
+    "command, n_vars, d, fault",
+    [("hermitian", 1001, 0, "n_vars = 1001"), ("min-sos", 1, 1001, "d = 1001"),
+     ("hermitian", 100000, 100000, "n_vars = 100000")],
+)
+def test_too_many_variables_or_too_high_a_degree_is_refused_before_the_basis_size(
+    capsys, monkeypatch, tmp_path, command, n_vars, d, fault
+):
+    """One basis monomial at d = 0 or n_vars = 1, but one with n_vars
+    exponents or of degree d; at 10^5 and 10^5, C(199999, 100000) has more
+    digits than Python converts to text by default."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"n_vars": n_vars, "d": d, "terms": []}))
+    monkeypatch.setattr(math, "comb", lambda *args: pytest.fail("computed the basis size"))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {fault} is over {hermitian.MAX_BIFORM_DIM}\n"
+
+
 def test_the_largest_allowed_biform_basis_gets_built(monkeypatch):
     """C(n + 2, 2) for 3 variables: 990 monomials at d = 43, 1035 at d = 44."""
     class Built(Exception):

@@ -18,9 +18,7 @@ from macaulay.hermitian import (
     biform_from_terms,
     biform_rank,
     biform_signature,
-    biform_terms,
     decompose,
-    divide_norm_power,
     find_min_sos_exponent,
     format_biform,
     is_sum_of_squares,
@@ -28,7 +26,6 @@ from macaulay.hermitian import (
     multiply_signed_norm,
     parse_biform,
     product_rank_interval,
-    product_rank_interval_closed_form,
     recompose_squares,
     sos_max_negative_part,
     sos_min_positive_part,
@@ -39,7 +36,7 @@ from macaulay.hermitian import (
 )
 from macaulay.oracle import random_hermitian_instance, sos_witness
 from macaulay.poly import GradedIdeal, HomogPoly, graded_piece_dim, monomial_poly, monomials_of_degree, variable
-from references import congruence_transform, random_invertible_matrix
+from references import biform_terms, congruence_transform, divide_norm_power, random_invertible_matrix
 
 i = GaussianRational(0, 1)
 
@@ -316,29 +313,6 @@ def test_signature_additive_under_direct_sum():
     assert sblock == (sa.p + sb.p, sa.q + sb.q)
 
 
-def _multiply_by_variable_square(form, j, sign):
-    n, d = form.n_vars, form.half_degree
-    terms = []
-    for alpha, beta, coeff in biform_terms(form):
-        up_a = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:]
-        up_b = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
-        terms.append((up_a, up_b, sign * coeff))
-    return biform_from_terms(n, d + 1, terms)
-
-
-def test_multiply_signed_norm_matches_termwise_oracle():
-    for seed in range(12):
-        n = 2 + seed % 3
-        form = random_hermitian_instance(n, 1, seed=seed * 19 + 4)
-        for s in range(n + 1):
-            fast = multiply_signed_norm(form, (s, n - s))
-            term_products = []
-            for j in range(n):
-                sign = 1 if j < s else -1
-                term_products.extend(biform_terms(_multiply_by_variable_square(form, j, sign)))
-            assert biform_from_terms(n, form.half_degree + 1, term_products) == fast
-
-
 def _gaussian_instances(shapes, seed):
     """For each (n, d), the first random_hermitian_instance from ``seed`` on
     with a non-real entry and a non-integer real part."""
@@ -440,11 +414,8 @@ def test_product_rank_interval_worked_values():
 def test_product_rank_interval_closed_form():
     for n in range(2, 7):
         for r in range(1, n):
-            assert product_rank_interval_closed_form(r, n) == (r * n - r * (r - 1), r * n)
-            assert product_rank_interval(r, n) == product_rank_interval_closed_form(r, n)
-    assert product_rank_interval_closed_form(1, 5) == (5, 5)
-    with pytest.raises(ValueError):
-        product_rank_interval_closed_form(5, 4)
+            assert product_rank_interval(r, n) == (r * n - r * (r - 1), r * n)
+    assert product_rank_interval(1, 5) == (5, 5)
 
 
 def test_sos_min_positive_part_worked_values():
