@@ -26,6 +26,7 @@ from .hermitian import (
     decompose,
     find_min_sos_exponent,
     format_biform,
+    hermitian_report,
     is_sum_of_squares,
     multiply_norm_power,
     multiply_signed_norm,
@@ -36,7 +37,6 @@ from .hermitian import (
     sos_min_positive_part,
     sos_rank_interval,
     verify_ideal_containment,
-    verify_product_rank_bounds,
     zero_biform,
 )
 from .poly import (

@@ -168,58 +168,14 @@ def cmd_hermitian(path: str, s: int | None, t: int | None, l: int) -> Report:
     if l < 1:
         raise ValueError(f"--l must be >= 1, got {l}")
     form = hermitian.parse_biform(Path(path).read_text())
-    n = form.n_vars
     if s is None and t is None:
-        s, t = n, 0
+        s, t = form.n_vars, 0
     elif s is None or t is None:
         raise ValueError("give both --s and --t, or neither")
-    if n < 2:
-        raise ValueError(f"the bounds need at least 2 variables, got {n}")
-    if s < 0 or t < 0 or s + t != n:
-        raise ValueError(f"--s and --t must be >= 0 with s + t = {n}, got ({s}, {t})")
-    inputs = {"file": path, "n_vars": n, "d": form.half_degree, "s": s, "t": t, "l": l}
-    verdicts = dict.fromkeys(
-        ("product_rank_bounds", "positive_part_bound", "negative_part_bound", "sos_rank_interval"), "not-applicable"
-    )
-    if form.is_zero():
-        outputs = {"note": "zero form: rank and signature bounds do not apply"}
-        return Report("hermitian", inputs=inputs, outputs=outputs, verdicts=verdicts)
-    sig = hermitian.biform_signature(form)
-    r = hermitian.biform_rank(form)
-    # rank and signature come from different kernels; rank == p + q checks one against the other
-    if r != sig.rank:
-        raise ArithmeticError(f"rank {r} of the form differs from p + q = {sig.rank}")
-    euclidean = (s, t) == (n, 0)
-    product = hermitian.multiply_signed_norm(form, (s, t))
-    rank_product = hermitian.biform_rank(product)
-    low, high = hermitian.product_rank_interval(r, n)
-    power = hermitian.multiply_norm_power(product, l - 1) if euclidean else hermitian.multiply_norm_power(form, l)
-    power_sig = hermitian.biform_signature(power)
-    # at (s, t) = (n, 0) and l = 1 the power is the product
-    if euclidean and l == 1 and rank_product != power_sig.rank:
-        raise ArithmeticError(f"rank {rank_product} of the product differs from p + q = {power_sig.rank}")
-    outputs = {
-        "signature": {"p": sig.p, "q": sig.q},
-        "rank": r,
-        "product_rank": rank_product,
-        "product_rank_interval": [low, high],
-        "norm_power_rank": power_sig.rank,
-        "norm_power_is_sum_of_squares": power_sig.q == 0,
-    }
-    verdicts["product_rank_bounds"] = _verdict(low <= rank_product <= high)
-    if outputs["norm_power_is_sum_of_squares"]:
-        p_bound = hermitian.sos_min_positive_part(r, n, l)
-        q_bound = hermitian.sos_max_negative_part(sig.p, n, l)
-        q_bound_alt = hermitian.sos_max_negative_part(sig.p, n, l, alternate=True)
-        r_low, r_high = hermitian.sos_rank_interval(sig.p, sig.q, n, l)
-        outputs["positive_part_bound"] = str(p_bound)
-        outputs["negative_part_bound"] = q_bound
-        outputs["negative_part_bound_alternate_subscripts"] = q_bound_alt
-        outputs["sos_rank_interval"] = [r_low, r_high]
-        verdicts["positive_part_bound"] = _verdict(sig.p >= p_bound)
-        verdicts["negative_part_bound"] = _verdict(sig.q <= q_bound)
-        verdicts["sos_rank_interval"] = _verdict(r_low <= power_sig.rank <= r_high)
-    return Report("hermitian", inputs=inputs, outputs=outputs, verdicts=verdicts)
+    inputs = {"file": path, "n_vars": form.n_vars, "d": form.half_degree, "s": s, "t": t, "l": l}
+    outputs, verdicts = hermitian.hermitian_report(form, (s, t), l)
+    verdicts = {k: "not-applicable" if v is None else _verdict(v) for k, v in verdicts.items()}
+    return Report("hermitian", inputs, outputs, verdicts)
 
 
 def cmd_min_sos(path: str, l_max: int) -> Report:

@@ -10,8 +10,8 @@ on those integer parts (a non-real matrix through its fraction-free row
 elimination over the Gaussian integers).  The signature and the square
 decomposition come from one fraction-free congruence kernel over the
 Gaussian integers on ``re`` and ``im``; the rank is kept on the other
-kernel so that rank == p + q checks one against the other, as the
-``hermitian`` subcommand does before it reports.  Multiplication by a
+kernel so that rank == p + q checks one against the other, as
+``hermitian_report`` does before it reports.  Multiplication by a
 signed norm is an integer-linear map applied to ``re`` and ``im`` alike,
 over the same ``den``.  No floating point appears anywhere.
 """
@@ -625,34 +625,71 @@ def find_min_sos_exponent(form: HermitianBiform, l_max: int) -> Optional[int]:
     """Smallest 1 <= l <= l_max such that form * ||z||^(2l) is a sum of
     squared norms, or None if no such l exists in range.  Once a power
     works, every larger power works too, since multiplying a sum of
-    squares by the norm keeps it a sum of squares."""
+    squares by the norm keeps it a sum of squares.  A power over the size
+    limit raises ``ValueError`` before it is built, as in
+    ``hermitian_report``; a search that ends below the limit answers."""
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     product = form
     for l in range(1, l_max + 1):
+        _require_power_basis(form.n_vars, form.half_degree, l)
         product = multiply_signed_norm(product, SignedNorm(form.n_vars, 0))
         if is_sum_of_squares(product):
             return l
     return None
 
 
-class ProductRankReport(NamedTuple):
-    rank_product: int
-    low: int
-    high: int
-    ok: bool
-
-
-def verify_product_rank_bounds(form: HermitianBiform, norm: SignedNorm | tuple[int, int]) -> ProductRankReport:
-    """Rank of form * signed norm, with its predicted interval.
-
-    ``ok`` must come back True for every nonzero form; False would mean a
-    bug in the rank or shift machinery.  Raises on the zero form, whose
-    interval is undefined.
+def hermitian_report(form: HermitianBiform, norm: SignedNorm | tuple[int, int], l: int) -> tuple[dict, dict]:
+    """The outputs, JSON values in report order, and the verdicts that the
+    ``hermitian`` subcommand renders for ``form``, the signed norm (s, t)
+    and the norm power l.  A verdict is True, False, or None where its
+    bound does not apply: all four for the zero form, the sum-of-squares
+    ones unless form * ||z||^(2l) is a sum of squared norms.  Raises
+    ``ValueError`` for n < 2, an (s, t) that does not split n, or a power
+    over the size limit, in that order and whatever the form.
     """
-    low, high = product_rank_interval(biform_rank(form), form.n_vars)
-    rank_product = biform_rank(multiply_signed_norm(form, norm))
-    return ProductRankReport(rank_product, low, high, low <= rank_product <= high)
+    n, (s, t) = form.n_vars, norm
+    if n < 2:
+        raise ValueError(f"the bounds need at least 2 variables, got {n}")
+    if s < 0 or t < 0 or s + t != n:
+        raise ValueError(f"--s and --t must be >= 0 with s + t = {n}, got ({s}, {t})")
+    _require_power_basis(n, form.half_degree, l)
+    verdicts = dict.fromkeys(("product_rank_bounds", "positive_part_bound", "negative_part_bound", "sos_rank_interval"))
+    if form.is_zero():
+        return {"note": "zero form: rank and signature bounds do not apply"}, verdicts
+    sig, r = biform_signature(form), biform_rank(form)
+    if r != sig.rank:
+        raise ArithmeticError(f"rank {r} of the form differs from p + q = {sig.rank}")
+    euclidean = (s, t) == (n, 0)
+    product = multiply_signed_norm(form, (s, t))
+    rank_product = biform_rank(product)
+    low, high = product_rank_interval(r, n)
+    power = multiply_norm_power(product, l - 1) if euclidean else multiply_norm_power(form, l)
+    power_sig = biform_signature(power)
+    # at (s, t) = (n, 0) the power extends the product, and at l = 1 it is the product
+    if euclidean and l == 1 and rank_product != power_sig.rank:
+        raise ArithmeticError(f"rank {rank_product} of the product differs from p + q = {power_sig.rank}")
+    outputs = {
+        "signature": {"p": sig.p, "q": sig.q},
+        "rank": r,
+        "product_rank": rank_product,
+        "product_rank_interval": [low, high],
+        "norm_power_rank": power_sig.rank,
+        "norm_power_is_sum_of_squares": power_sig.q == 0,
+    }
+    verdicts["product_rank_bounds"] = low <= rank_product <= high
+    if power_sig.q == 0:
+        p_bound = sos_min_positive_part(r, n, l)
+        q_bound = sos_max_negative_part(sig.p, n, l)
+        r_low, r_high = sos_rank_interval(sig.p, sig.q, n, l)
+        outputs["positive_part_bound"] = str(p_bound)
+        outputs["negative_part_bound"] = q_bound
+        outputs["negative_part_bound_alternate_subscripts"] = sos_max_negative_part(sig.p, n, l, alternate=True)
+        outputs["sos_rank_interval"] = [r_low, r_high]
+        verdicts["positive_part_bound"] = sig.p >= p_bound
+        verdicts["negative_part_bound"] = sig.q <= q_bound
+        verdicts["sos_rank_interval"] = r_low <= power_sig.rank <= r_high
+    return outputs, verdicts
 
 
 def verify_ideal_containment(
@@ -710,10 +747,20 @@ def verify_ideal_containment(
 # ---------------------------------------------------------------------------
 
 # The largest basis, C(n_vars - 1 + d, d) monomials, that ``parse_biform``
-# builds: its coefficient matrix has the square of that many entries.  It
-# also bounds n_vars and d, which the basis size alone does not when d = 0
-# or n_vars = 1.
+# builds and that a norm power may reach: its coefficient matrix has the
+# square of that many entries.  It also bounds n_vars and d, which the
+# basis size alone does not when d = 0 or n_vars = 1.
 MAX_BIFORM_DIM = 1000
+
+
+def _require_power_basis(n_vars: int, d: int, l: int) -> None:
+    """Raise ``ValueError`` unless l >= 1 and a degree-d form in n_vars
+    variables times ||z||^(2l) has at most ``MAX_BIFORM_DIM`` basis
+    monomials; with n_vars >= 2 it has over l, so that bounds l first."""
+    if l < 1 or (n_vars >= 2 and l > MAX_BIFORM_DIM):
+        raise ValueError(f"l = {l} is not in [1, {MAX_BIFORM_DIM}]")
+    if (dim := math.comb(n_vars - 1 + d + l, d + l)) > MAX_BIFORM_DIM:
+        raise ValueError(f"at l = {l}, the norm power of degree {d + l} in {n_vars} variables has {dim} basis monomials, over {MAX_BIFORM_DIM}")
 
 
 def format_biform(form: HermitianBiform) -> str:

@@ -138,10 +138,7 @@ class HomogPoly:
     def __mul__(self, other):
         if isinstance(other, HomogPoly):
             return poly_multiply(self, other)
-        prod: dict[Monomial, object] = {}
-        for mono, coeff in self.terms.items():
-            prod[mono] = coeff * other
-        return HomogPoly(self.n_vars, self.degree, prod)
+        return HomogPoly(self.n_vars, self.degree, {mono: coeff * other for mono, coeff in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -830,6 +827,4 @@ def parse_ideal(text: str) -> GradedIdeal:
         if poly.degree == 0:
             raise ValueError("degree-0 generator defines the unit ideal; not supported")
         gens.append(poly)
-    if not gens:
-        return GradedIdeal.zero(n_vars)
     return GradedIdeal(n_vars, tuple(gens))

@@ -12,13 +12,13 @@ from macaulay.binom import scan_shift_inequalities, scan_split_shift_identity, s
 from macaulay.hermitian import (
     biform_rank,
     biform_signature,
+    hermitian_report,
     is_sum_of_squares,
     multiply_norm_power,
     product_rank_interval,
     sos_max_negative_part,
     sos_min_positive_part,
     sos_rank_interval,
-    verify_product_rank_bounds,
 )
 from macaulay.oracle import CorpusSpec, random_corpus, random_hermitian_instance
 from macaulay.binom import macaulay_rep
@@ -88,6 +88,7 @@ def test_product_rank_bounds_random_suite():
     checked = 0
     forms = 0
     seed = 0
+    holds = {}  # verdict name -> how many times it held
     while forms < 200:
         n = (2, 3, 4)[forms % 3]
         d = 1 + (forms // 3) % 2
@@ -97,10 +98,15 @@ def test_product_rank_bounds_random_suite():
             continue
         forms += 1
         for s in range(n + 1):
-            report = verify_product_rank_bounds(form, (s, n - s))
-            assert report.ok, (n, d, s, seed, report)
+            outputs, verdicts = hermitian_report(form, (s, n - s), 1)
+            assert verdicts["product_rank_bounds"] is True, (n, d, s, seed, outputs)
+            assert False not in verdicts.values(), (n, d, s, seed, outputs, verdicts)
+            for name, ok in verdicts.items():
+                holds[name] = holds.get(name, 0) + (ok is True)
             checked += 1
-    _report("product-rank-random-suite", started, f"200 forms, {checked} signed-norm products")
+    assert holds["product_rank_bounds"] == checked
+    assert holds["positive_part_bound"] == holds["negative_part_bound"] == holds["sos_rank_interval"] > 0
+    _report("product-rank-random-suite", started, f"200 forms, {checked} signed-norm products, {holds}")
 
 
 def test_sos_bound_suite():

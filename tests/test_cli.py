@@ -173,6 +173,28 @@ def test_hermitian_command_builds_the_euclidean_product_once(capsys, monkeypatch
         assert doc["outputs"]["norm_power_is_sum_of_squares"] is (power_sig[l].q == 0)
 
 
+@pytest.mark.parametrize("name", sorted(HERMITIAN_FORMS))
+@pytest.mark.parametrize("flags, norm", [((), (2, 0)), (("--s", "1", "--t", "1"), (1, 1))])
+@pytest.mark.parametrize("l", [1, 2])
+def test_hermitian_command_prints_the_library_report(capsys, tmp_path, name, flags, norm, l):
+    """The subcommand echoes its inputs and renders ``hermitian_report``:
+    a None verdict as not-applicable, a bool as ok or violated."""
+    form = HERMITIAN_FORMS[name]
+    path = tmp_path / "b.json"
+    path.write_text(format_biform(form))
+    outputs, verdicts = hermitian.hermitian_report(form, norm, l)
+    doc = {
+        "command": "hermitian",
+        "inputs": {"file": str(path), "n_vars": 2, "d": 1, "s": norm[0], "t": norm[1], "l": l},
+        "outputs": outputs,
+        "verdicts": {k: "not-applicable" if v is None else "ok" if v else "violated" for k, v in verdicts.items()},
+    }
+    code, out = run_cli(capsys, "--format", "structured", "hermitian", str(path), *flags, "--l", str(l))
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert code == 0
+    assert ("positive_part_bound" in outputs) is (name == "psd")
+
+
 C = GaussianRational(Fraction(2, 3), Fraction(-5, 4))
 GAUSSIAN_FORMS = {  # |C|^2 = 289/144 < 2 * 3/2, so the first form is positive definite
     "psd": HermitianBiform(2, 1, [[2, C], [C.conjugate(), Fraction(3, 2)]]),

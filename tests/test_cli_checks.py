@@ -252,8 +252,87 @@ def test_the_largest_allowed_biform_basis_gets_built(monkeypatch):
     assert math.comb(45, 43) <= hermitian.MAX_BIFORM_DIM < math.comb(46, 44)
     with pytest.raises(Built, match="^990$"):
         hermitian.parse_biform('{"n_vars": 3, "d": 43, "terms": []}')
+    with pytest.raises(Built, match="^1000$"):
+        hermitian.parse_biform('{"n_vars": 2, "d": 999, "terms": []}')
     with pytest.raises(ValueError, match="has 1035 basis monomials"):
         hermitian.parse_biform('{"n_vars": 3, "d": 44, "terms": []}')
+
+
+def _diagonal_document(n_vars, d, *squares):
+    """The biform document of the sum of c * |z^alpha|^2 over the (c, alpha) given."""
+    terms = [{"alpha": a, "beta": a, "coeff": {"re": c, "im": "0"}} for c, a in squares]
+    return json.dumps({"n_vars": n_vars, "d": d, "terms": terms})
+
+
+@pytest.mark.parametrize("terms", [[("1", [2, 0, 0])], []])
+def test_a_norm_power_over_the_size_limit_is_refused_before_any_product(capsys, monkeypatch, tmp_path, terms):
+    """|z1^2|^2 in 3 variables, or the zero form: C(2 + 2 + l, 2) basis
+    monomials in the power, 1176 at l = 45."""
+    path = tmp_path / "b.json"
+    path.write_text(_diagonal_document(3, 2, *terms))
+    monkeypatch.setattr(hermitian, "multiply_signed_norm", lambda *args: pytest.fail("built a product"))
+    limit = hermitian.MAX_BIFORM_DIM
+    for l, error in [
+        ("45", f"at l = 45, the norm power of degree 47 in 3 variables has 1176 basis monomials, over {limit}"),
+        ("1001", f"l = 1001 is not in [1, {limit}]"),
+        (str(10 ** 4000), f"l = {10 ** 4000} is not in [1, {limit}]"),  # no basis size is computed
+    ]:
+        assert main(["hermitian", str(path), "--l", l]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
+
+def test_the_last_admitted_norm_power_gets_past_the_size_check(monkeypatch):
+    """C(n + 2, 2) for 3 variables: the power of |z1^2|^2 has 990 monomials
+    at l = 41, 1035 at l = 42; in 2 variables the power of |z1|^2 has
+    exactly 1000 at l = 998."""
+    class Built(Exception):
+        pass
+
+    def build(form, norm):
+        raise Built
+
+    form = hermitian.parse_biform(_diagonal_document(3, 2, ("1", [2, 0, 0])))
+    monkeypatch.setattr(hermitian, "multiply_signed_norm", build)
+    assert math.comb(45, 2) <= hermitian.MAX_BIFORM_DIM < math.comb(46, 2)
+    with pytest.raises(Built):
+        hermitian.hermitian_report(form, (3, 0), 41)
+    with pytest.raises(ValueError, match="^at l = 42, .* has 1035 basis monomials"):
+        hermitian.hermitian_report(form, (3, 0), 42)
+    form = hermitian.parse_biform(_diagonal_document(2, 1, ("1", [1, 0])))
+    with pytest.raises(Built):
+        hermitian.hermitian_report(form, (1, 1), 998)
+    with pytest.raises(ValueError, match="^at l = 999, .* has 1001 basis monomials"):
+        hermitian.hermitian_report(form, (1, 1), 999)
+
+
+def test_min_sos_refuses_the_first_norm_power_over_the_size_limit(capsys, monkeypatch, tmp_path):
+    """In 10 variables at d = 3 the power has 715 basis monomials at
+    l = 1 and 2002 at l = 2.  |z1^3|^2 - |z2^3|^2 is no sum of squares
+    at l = 1, so the search refuses l = 2; |z1^3|^2 is one at l = 1, so a
+    search past the limit still answers."""
+    multiply = hermitian.multiply_signed_norm
+
+    def bounded(form, norm):
+        if math.comb(form.n_vars + form.half_degree, form.n_vars - 1) > hermitian.MAX_BIFORM_DIM:
+            pytest.fail("built a power over the size limit")
+        return multiply(form, norm)
+
+    monkeypatch.setattr(hermitian, "multiply_signed_norm", bounded)
+    z1, z2 = [3] + [0] * 9, [0, 3] + [0] * 8
+    split = tmp_path / "split.json"
+    split.write_text(_diagonal_document(10, 3, ("1", z1), ("-1", z2)))
+    assert main(["--format", "structured", "min-sos", str(split), "--l-max", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["min_power"] is None
+    assert main(["min-sos", str(split), "--l-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: at l = 2, the norm power of degree 5 in 10 variables has 2002 basis monomials,"
+        f" over {hermitian.MAX_BIFORM_DIM}\n"
+    )
+    assert hermitian.find_min_sos_exponent(hermitian.parse_biform(_diagonal_document(10, 3, ("1", z1))), 5) == 1
 
 
 def test_parsing_a_biform_costs_a_few_references_per_matrix_cell():

@@ -21,6 +21,7 @@ from macaulay.hermitian import (
     decompose,
     find_min_sos_exponent,
     format_biform,
+    hermitian_report,
     is_sum_of_squares,
     multiply_norm_power,
     multiply_signed_norm,
@@ -31,7 +32,6 @@ from macaulay.hermitian import (
     sos_min_positive_part,
     sos_rank_interval,
     verify_ideal_containment,
-    verify_product_rank_bounds,
     zero_biform,
 )
 from macaulay.oracle import random_hermitian_instance, sos_witness
@@ -494,17 +494,20 @@ def test_sos_persists_under_extra_norm_factors():
 
 def test_verify_product_rank_bounds():
     b = biform_from_terms(2, 1, [((1, 0), (1, 0), 1)])
-    report = verify_product_rank_bounds(b, (2, 0))
-    assert report == (2, 2, 2, True)
-    with pytest.raises(ValueError):
-        verify_product_rank_bounds(zero_biform(2, 1), (2, 0))
+    outputs, verdicts = hermitian_report(b, (2, 0), 1)
+    assert (outputs["product_rank"], outputs["product_rank_interval"]) == (2, [2, 2])
+    assert verdicts["product_rank_bounds"] is True
+    # the zero form has no interval: no product is built and every verdict is None
+    outputs, verdicts = hermitian_report(zero_biform(2, 1), (2, 0), 1)
+    assert "product_rank" not in outputs
+    assert set(verdicts.values()) == {None}
     for seed in range(25):
         n = 2 + seed % 3
         form = random_hermitian_instance(n, 1 + seed % 2, seed=seed * 29 + 15)
         if form.is_zero():
             continue
         for s in range(n + 1):
-            assert verify_product_rank_bounds(form, (s, n - s)).ok
+            assert hermitian_report(form, (s, n - s), 1)[1]["product_rank_bounds"] is True
 
 
 def test_verify_ideal_containment_positive_only():
