@@ -58,10 +58,6 @@ class MacaulayRep:
                 raise ValueError(f"upper indices must strictly decrease: {self.terms}")
             prev_a, prev_j = a, j
 
-    @property
-    def value(self) -> int:
-        return rep_value(self)
-
 
 def macaulay_rep(a: int, n: int) -> MacaulayRep:
     """Compute the unique n-th Macaulay representation of a >= 0.

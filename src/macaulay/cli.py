@@ -217,12 +217,7 @@ def cmd_corpus(args: argparse.Namespace) -> Report:
     if args.lex_probe:
         n_probe, d_probe = args.lex_probe
         report = oracle.lex_growth_report(n_probe, d_probe)
-        outputs["lex_probe"] = {
-            "n_vars": report["n_vars"],
-            "degree": report["degree"],
-            "tight": report["tight"],
-            "total": report["total"],
-        }
+        outputs["lex_probe"] = {key: report[key] for key in ("n_vars", "degree", "tight", "total")}
     return Report(
         "corpus",
         inputs={

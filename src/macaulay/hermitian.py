@@ -529,8 +529,7 @@ def multiply_signed_norm(form: HermitianBiform, norm: SignedNorm | tuple[int, in
     for j >= s, on the same ints over the same ``den``.  The norm is
     primitive, so by Gauss's lemma over Z[i] the product is in least terms."""
     s, t = norm
-    if s < 0 or t < 0 or s + t != form.n_vars:
-        raise ValueError(f"signed norm ({s},{t}) does not match {form.n_vars} variables")
+    _require_signed_norm(form.n_vars, norm)
     raised = _raised(form.n_vars, form.half_degree)
     dim = len(monomials_of_degree(form.n_vars, form.half_degree + 1))
 
@@ -549,6 +548,13 @@ def multiply_signed_norm(form: HermitianBiform, norm: SignedNorm | tuple[int, in
 
     re, im = (times_norm(part) if part else None for part in (form.re, form.im))
     return HermitianBiform._from_ints(form.n_vars, form.half_degree + 1, form.den, re, im)
+
+
+def _require_signed_norm(n_vars: int, norm: SignedNorm | tuple[int, int]) -> None:
+    """Raise ``ValueError`` unless the signed norm (s, t) splits n_vars."""
+    s, t = norm
+    if s < 0 or t < 0 or s + t != n_vars:
+        raise ValueError(f"signed norm ({s},{t}) does not match {n_vars} variables")
 
 
 def multiply_norm_power(form: HermitianBiform, power: int) -> HermitianBiform:
@@ -617,8 +623,10 @@ def sos_rank_interval(p: int, q: int, n: int, l: int) -> tuple[int, int]:
 
 def is_sum_of_squares(form: HermitianBiform) -> bool:
     """True iff the form is a sum of squared norms of holomorphic
-    polynomials, i.e. its matrix is positive semidefinite (q == 0)."""
-    return biform_signature(form).q == 0
+    polynomials, i.e. its matrix is positive semidefinite (q == 0): no
+    step of the congruence kernel is negative, so the first negative step
+    answers without counting the rest of the signature."""
+    return all(delta > 0 for delta, *_ in _congruence_steps(form.re, form.im))
 
 
 def find_min_sos_exponent(form: HermitianBiform, l_max: int) -> Optional[int]:
@@ -651,8 +659,7 @@ def hermitian_report(form: HermitianBiform, norm: SignedNorm | tuple[int, int], 
     n, (s, t) = form.n_vars, norm
     if n < 2:
         raise ValueError(f"the bounds need at least 2 variables, got {n}")
-    if s < 0 or t < 0 or s + t != n:
-        raise ValueError(f"--s and --t must be >= 0 with s + t = {n}, got ({s}, {t})")
+    _require_signed_norm(n, norm)
     _require_power_basis(n, form.half_degree, l)
     verdicts = dict.fromkeys(("product_rank_bounds", "positive_part_bound", "negative_part_bound", "sos_rank_interval"))
     if form.is_zero():
@@ -704,6 +711,8 @@ def verify_ideal_containment(
 
     The identity itself is verified first by recomposing coefficient
     matrices; a mismatch raises, because the caller's witness is invalid.
+    Recomposition refuses a polynomial of the wrong variable count or
+    degree, on the witness side before any norm product is built.
     Then, in degree d + l, the pieces generated by m_minus and by h must
     both sit inside the piece generated by m_plus (so in particular the
     ideals generated by all m's and by m_plus agree there).  Dimensions
@@ -716,24 +725,13 @@ def verify_ideal_containment(
         raise ValueError("need at least one polynomial on the m side")
     n_vars = everything[0].n_vars
     d = everything[0].degree
-    for p in everything:
-        if p.n_vars != n_vars or p.degree != d:
-            raise ValueError("all m polynomials must share variables and degree")
-    for w in h:
-        if w.n_vars != n_vars or w.degree != d + l:
-            raise ValueError(f"witness polynomials must have degree {d + l}")
-
     base = biform_from_squares(n_vars, d, m_plus, m_minus)
-    if multiply_norm_power(base, l) != biform_from_squares(n_vars, d + l, h):
+    witness = biform_from_squares(n_vars, d + l, h)
+    if multiply_norm_power(base, l) != witness:
         raise ValueError("witness identity fails: the recomposed matrices differ")
 
-    degree = d + l
-
     def dim_of(gens: Sequence[HomogPoly]) -> int:
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            return 0
-        return graded_piece_dim(GradedIdeal(n_vars, tuple(gens)), degree)
+        return graded_piece_dim(GradedIdeal(n_vars, tuple(g for g in gens if not g.is_zero())), d + l)
 
     dim_plus = dim_of(m_plus)
     dim_minus = dim_of(m_minus)
@@ -748,16 +746,18 @@ def verify_ideal_containment(
 
 # The largest basis, C(n_vars - 1 + d, d) monomials, that ``parse_biform``
 # builds and that a norm power may reach: its coefficient matrix has the
-# square of that many entries.  It also bounds n_vars and d, which the
-# basis size alone does not when d = 0 or n_vars = 1.
+# square of that many entries.  It also bounds n_vars, d and the norm
+# power l, which the basis size alone does not when d = 0 or n_vars = 1.
 MAX_BIFORM_DIM = 1000
 
 
 def _require_power_basis(n_vars: int, d: int, l: int) -> None:
     """Raise ``ValueError`` unless l >= 1 and a degree-d form in n_vars
     variables times ||z||^(2l) has at most ``MAX_BIFORM_DIM`` basis
-    monomials; with n_vars >= 2 it has over l, so that bounds l first."""
-    if l < 1 or (n_vars >= 2 and l > MAX_BIFORM_DIM):
+    monomials.  The bound on l comes first, for every n_vars: with
+    n_vars >= 2 the basis has over l monomials, and with n_vars = 1 it has
+    one, so no basis size bounds the l-fold product there."""
+    if l < 1 or l > MAX_BIFORM_DIM:
         raise ValueError(f"l = {l} is not in [1, {MAX_BIFORM_DIM}]")
     if (dim := math.comb(n_vars - 1 + d + l, d + l)) > MAX_BIFORM_DIM:
         raise ValueError(f"at l = {l}, the norm power of degree {d + l} in {n_vars} variables has {dim} basis monomials, over {MAX_BIFORM_DIM}")

@@ -171,11 +171,7 @@ def poly_multiply(f: HomogPoly, g: HomogPoly) -> HomogPoly:
     for ma, ca in f.terms.items():
         for mb, cb in g.terms.items():
             mono = tuple(ea + eb for ea, eb in zip(ma, mb))
-            acc = prod.get(mono, 0) + ca * cb
-            if acc:
-                prod[mono] = acc
-            else:
-                prod.pop(mono, None)
+            prod[mono] = prod.get(mono, 0) + ca * cb
     return HomogPoly(f.n_vars, f.degree + g.degree, prod)
 
 
@@ -822,8 +818,6 @@ def parse_ideal(text: str) -> GradedIdeal:
         if degree is None:
             raise ValueError("generator with no terms")
         poly = HomogPoly(n_vars, degree, terms)
-        if poly.is_zero():
-            raise ValueError("generator cancels to zero")
         if poly.degree == 0:
             raise ValueError("degree-0 generator defines the unit ideal; not supported")
         gens.append(poly)

@@ -335,6 +335,33 @@ def test_min_sos_refuses_the_first_norm_power_over_the_size_limit(capsys, monkey
     assert hermitian.find_min_sos_exponent(hermitian.parse_biform(_diagonal_document(10, 3, ("1", z1))), 5) == 1
 
 
+def test_min_sos_bounds_the_norm_power_in_one_variable(capsys, monkeypatch, tmp_path):
+    """-|z1|^2 is no sum of squares at any power, and in one variable
+    every power has one basis monomial, so only the bound on l ends the
+    search: it answers up to l = 1000 and refuses l = 1001 after the
+    1000 products below it."""
+    multiply = hermitian.multiply_signed_norm
+    built = []
+
+    def counted(form, norm):
+        built.append(form.half_degree + 1)
+        return multiply(form, norm)
+
+    monkeypatch.setattr(hermitian, "multiply_signed_norm", counted)
+    path = tmp_path / "negative.json"
+    path.write_text(_diagonal_document(1, 1, ("-1", [1])))
+    limit = hermitian.MAX_BIFORM_DIM
+    assert main(["--format", "structured", "min-sos", str(path), "--l-max", str(limit)]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["min_power"] is None
+    for l_max in (limit + 1, 10 ** 9):
+        built.clear()
+        assert main(["min-sos", str(path), "--l-max", str(l_max)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: l = {limit + 1} is not in [1, {limit}]\n"
+        assert len(built) == limit and built[-1] == limit + 1
+
+
 def test_parsing_a_biform_costs_a_few_references_per_matrix_cell():
     """A document with no terms still fills a dim x dim matrix: 231
     monomials at n = 3, d = 20, 53361 cells.  Reading the cells as two

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from macaulay import hermitian
 from macaulay.binom import shift_apply
 from macaulay.hermitian import (
     GaussianRational,
@@ -510,6 +511,19 @@ def test_verify_product_rank_bounds():
             assert hermitian_report(form, (s, n - s), 1)[1]["product_rank_bounds"] is True
 
 
+@pytest.mark.parametrize("form", [zero_biform(2, 1), biform_from_terms(2, 1, [((1, 0), (1, 0), 1)])])
+@pytest.mark.parametrize("norm", [(3, -1), (-1, 3), (1, 0), (2, 1)])
+def test_hermitian_report_refuses_a_bad_norm_in_the_words_of_the_product(form, norm):
+    """The library names no command-line flag: a bad (s, t) is refused
+    as ``multiply_signed_norm`` refuses it, for the zero form too."""
+    with pytest.raises(ValueError) as refused:
+        multiply_signed_norm(form, norm)
+    with pytest.raises(ValueError) as exc:
+        hermitian_report(form, norm, 1)
+    assert "--" not in str(exc.value)
+    assert str(exc.value) == str(refused.value) == f"signed norm ({norm[0]},{norm[1]}) does not match 2 variables"
+
+
 def test_verify_ideal_containment_positive_only():
     z1, z2 = variable(0, 2), variable(1, 2)
     # all degree-2 "words" z_i * z_j witness (|z1|^2 + |z2|^2) * ||z||^2
@@ -554,6 +568,17 @@ def test_verify_ideal_containment_rejects_bad_witness():
     z1, z2 = variable(0, 2), variable(1, 2)
     with pytest.raises(ValueError):
         verify_ideal_containment([z1, z2], [], [z1 * z1], 1)
+
+
+@pytest.mark.parametrize("witness", [
+    [monomial_poly((1, 0))],  # degree 1, not d + l = 2
+    [monomial_poly((2, 0, 0))],  # 3 variables, not 2
+])
+def test_verify_ideal_containment_refuses_a_misshapen_witness_before_any_product(monkeypatch, witness):
+    z1, z2 = variable(0, 2), variable(1, 2)
+    monkeypatch.setattr(hermitian, "multiply_signed_norm", lambda *args: pytest.fail("built a product"))
+    with pytest.raises(ValueError, match="wrong variables or degree"):
+        verify_ideal_containment([z1, z2], [], witness, 1)
 
 
 def test_no_witness_exists_for_non_psd_product():
@@ -690,6 +715,14 @@ def hermitian_forms(draw):
             rows[r][c] = GaussianRational.of(draw(entries))
             rows[c][r] = rows[r][c].conjugate()
     return HermitianBiform(n, d, rows)
+
+
+@given(hermitian_forms(), st.integers(0, 2))
+@example(zero_biform(2, 1), 0)
+@settings(max_examples=100, deadline=None)
+def test_is_sum_of_squares_means_no_negative_square(form, l):
+    product = multiply_norm_power(form, l)
+    assert is_sum_of_squares(product) is (biform_signature(product).q == 0)
 
 
 @given(hermitian_forms())
