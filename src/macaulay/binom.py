@@ -231,8 +231,6 @@ def shift_difference_bound_holds(m: int, n: int, l: int) -> bool:
 
 def shift_monotone_in_value_holds(m: int, n: int, k: int) -> bool:
     """Check  m_(n)|_{-1}^k  >=  (m-1)_(n)|_{-1}^k  for m >= 1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     return shift_apply(m, n, -1, k) >= shift_apply(m - 1, n, -1, k)
 
 

@@ -574,8 +574,6 @@ def multiply_norm_power(form: HermitianBiform, power: int) -> HermitianBiform:
 def product_rank_interval(r: int, n: int) -> tuple[int, int]:
     """Bounds on the rank R of M * (any signed norm) when M has rank r in
     n variables:  2 * r_(n-1)|_0^1 - r*n  <=  R  <=  r*n."""
-    if n < 2:
-        raise ValueError("need at least 2 variables")
     if r < 1:
         raise ValueError("rank bounds need rank >= 1; a zero form has no interval")
     return 2 * shift_apply(r, n - 1, 0, 1) - r * n, r * n
@@ -584,8 +582,6 @@ def product_rank_interval(r: int, n: int) -> tuple[int, int]:
 def sos_min_positive_part(r: int, n: int, l: int) -> Fraction:
     """Lower bound on p when a rank-r form times the l-th norm power is a
     sum of squared norms:  p >= r_(n-1)|_0^l / C(n-1+l, l)."""
-    if n < 2:
-        raise ValueError("need at least 2 variables")
     if r < 0 or l < 1:
         raise ValueError("need r >= 0 and l >= 1")
     return Fraction(shift_apply(r, n - 1, 0, l), math.comb(n - 1 + l, l))
@@ -601,24 +597,21 @@ def sos_max_negative_part(p: int, n: int, l: int, alternate: bool = False) -> in
     uses (s, t) = (-1, l-1), the alternate uses (s, t) = (-l, l-1).  They
     agree at l = 1.
     """
-    if n < 2:
-        raise ValueError("need at least 2 variables")
     if p < 1 or l < 1:
         raise ValueError("need p >= 1 and l >= 1")
-    s = -l if alternate else -1
-    return p * math.comb(n - 1 + l, l) - p - shift_apply(p, n - 1, s, l - 1)
+    tail = shift_apply(p, n - 1, -l if alternate else -1, l - 1)
+    return p * math.comb(n - 1 + l, l) - p - tail
 
 
 def sos_rank_interval(p: int, q: int, n: int, l: int) -> tuple[int, int]:
     """Bounds on the rank R of the l-th norm-power product of a
     signature-(p, q) form, assuming that product is a sum of squared
     norms:  (p+q)_(n-1)|_0^l - q*C(n-1+l, l)  <=  R  <=  p*C(n-1+l, l)."""
-    if n < 2:
-        raise ValueError("need at least 2 variables")
     if p < 0 or q < 0 or p + q < 1 or l < 1:
         raise ValueError("need p, q >= 0, p + q >= 1, l >= 1")
+    low = shift_apply(p + q, n - 1, 0, l)
     c = math.comb(n - 1 + l, l)
-    return shift_apply(p + q, n - 1, 0, l) - q * c, p * c
+    return low - q * c, p * c
 
 
 def is_sum_of_squares(form: HermitianBiform) -> bool:

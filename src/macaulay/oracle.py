@@ -79,9 +79,9 @@ def lex_growth_report(n_vars: int, d: int) -> dict:
         ideal = lex_segment_ideal(n_vars, d, k)
         h_d = graded_piece_dim(ideal, d)
         h_d1 = graded_piece_dim(ideal, d + 1)
-        bound = macaulay_bound_ideal(h_d, n_vars) if n_vars >= 2 else None
-        is_tight = bound is not None and h_d1 == bound
-        tight += bool(is_tight)
+        bound = macaulay_bound_ideal(h_d, n_vars)
+        is_tight = h_d1 == bound
+        tight += is_tight
         cases.append({"k": k, "h_d": h_d, "h_d1": h_d1, "bound": bound, "tight": is_tight})
     return {"n_vars": n_vars, "degree": d, "tight": tight, "total": dim, "cases": cases}
 

@@ -630,8 +630,6 @@ def hilbert_records(ideal: GradedIdeal, d_max: int, mode: str = "exact") -> list
 def macaulay_bound_quotient(h_d: int, d: int) -> int:
     """Largest permitted H_{R/I}(d+1) given H_{R/I}(d) = h_d: apply the
     (1,1) shift to the d-th representation of h_d."""
-    if d < 1:
-        raise ValueError("quotient bound needs d >= 1")
     return shift_apply(h_d, d, 1, 1)
 
 
@@ -639,15 +637,11 @@ def macaulay_bound_ideal(h_d: int, n_vars: int) -> int:
     """Smallest permitted H_I(d+1) given H_I(d) = h_d: apply the (0,1)
     shift to the (n-1)-th representation.  Depends on the variable count
     only, never on the degree."""
-    if n_vars < 2:
-        raise ValueError("ideal bound needs at least 2 variables")
     return shift_apply(h_d, n_vars - 1, 0, 1)
 
 
 def macaulay_reverse_bound_ideal(h_d1: int, n_vars: int) -> int:
     """Largest permitted H_I(d) given H_I(d+1) = h_d1: the (0,-1) shift."""
-    if n_vars < 2:
-        raise ValueError("ideal bound needs at least 2 variables")
     return shift_apply(h_d1, n_vars - 1, 0, -1)
 
 
@@ -799,9 +793,10 @@ def parse_ideal(text: str) -> GradedIdeal:
     """Parse the shared ideal document.
 
     Each generator is a list of terms {"coeff": "p/q", "exponents": [..]}.
-    Degree-0 generators are rejected: a nonzero constant generates the
-    unit ideal and every Hilbert value would be the full space.  Every
-    schema fault raises ``ValueError``.
+    A nonzero constant generator is rejected: it generates the unit ideal
+    and every Hilbert value would be the full space.  A zero generator,
+    of any degree, is left to ``GradedIdeal``.  Every schema fault raises
+    ``ValueError``.
     """
     doc = _json_document(text, ("n_vars", "generators"), "ideal document")
     n_vars = _json_int(doc["n_vars"], "n_vars")
@@ -818,7 +813,7 @@ def parse_ideal(text: str) -> GradedIdeal:
         if degree is None:
             raise ValueError("generator with no terms")
         poly = HomogPoly(n_vars, degree, terms)
-        if poly.degree == 0:
+        if poly.degree == 0 and not poly.is_zero():
             raise ValueError("degree-0 generator defines the unit ideal; not supported")
         gens.append(poly)
     return GradedIdeal(n_vars, tuple(gens))

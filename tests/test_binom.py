@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macaulay import binom
+from macaulay import binom, hermitian, oracle, poly
 from macaulay.binom import (
     MacaulayRep,
     binom_coeff,
@@ -45,6 +45,44 @@ def test_macaulay_rep_rejects_bad_input():
         macaulay_rep(-1, 3)
     with pytest.raises(ValueError):
         macaulay_rep(5, 0)
+
+
+_INDEX_0 = "representation index must be >= 1, got 0"
+_INDEX_MINUS_1 = "representation index must be >= 1, got -1"
+_INDEX_MINUS_3 = "representation index must be >= 1, got -3"
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: hermitian.product_rank_interval(1, 1), _INDEX_0, id="product_rank_interval-n1"),
+        pytest.param(lambda: hermitian.product_rank_interval(1, 0), _INDEX_MINUS_1, id="product_rank_interval-n0"),
+        pytest.param(lambda: hermitian.sos_min_positive_part(1, 1, 1), _INDEX_0, id="sos_min_positive_part-n1"),
+        pytest.param(lambda: hermitian.sos_min_positive_part(1, 0, 1), _INDEX_MINUS_1, id="sos_min_positive_part-n0"),
+        pytest.param(lambda: hermitian.sos_max_negative_part(1, 1, 1), _INDEX_0, id="sos_max_negative_part-n1"),
+        pytest.param(lambda: hermitian.sos_max_negative_part(1, 0, 1), _INDEX_MINUS_1, id="sos_max_negative_part-n0"),
+        pytest.param(lambda: hermitian.sos_max_negative_part(1, -2, 1), _INDEX_MINUS_3, id="sos_max_negative_part-n-2"),
+        pytest.param(lambda: hermitian.sos_rank_interval(1, 0, 1, 1), _INDEX_0, id="sos_rank_interval-n1"),
+        pytest.param(lambda: hermitian.sos_rank_interval(1, 0, 0, 1), _INDEX_MINUS_1, id="sos_rank_interval-n0"),
+        pytest.param(lambda: hermitian.sos_rank_interval(1, 0, -2, 1), _INDEX_MINUS_3, id="sos_rank_interval-n-2"),
+        pytest.param(lambda: poly.macaulay_bound_ideal(1, 1), _INDEX_0, id="macaulay_bound_ideal-n1"),
+        pytest.param(lambda: poly.macaulay_bound_ideal(1, 0), _INDEX_MINUS_1, id="macaulay_bound_ideal-n0"),
+        pytest.param(lambda: poly.macaulay_reverse_bound_ideal(1, 1), _INDEX_0, id="macaulay_reverse_bound_ideal-n1"),
+        pytest.param(lambda: poly.macaulay_reverse_bound_ideal(1, 0), _INDEX_MINUS_1,
+                     id="macaulay_reverse_bound_ideal-n0"),
+        pytest.param(lambda: poly.macaulay_bound_quotient(1, 0), _INDEX_0, id="macaulay_bound_quotient-d0"),
+        pytest.param(lambda: poly.macaulay_bound_quotient(1, -1), _INDEX_MINUS_1, id="macaulay_bound_quotient-d-1"),
+        pytest.param(lambda: shift_monotone_in_value_holds(0, 2, 1), "cannot represent negative integer -1",
+                     id="shift_monotone_in_value_holds-m0"),
+        pytest.param(lambda: oracle.lex_growth_report(1, 2), _INDEX_0, id="lex_growth_report-n1"),
+    ],
+)
+def test_every_bound_formula_refuses_a_representation_index_below_1(call, error):
+    """The ideal and Hermitian bounds read the (n-1)-th representation and
+    the quotient bound the d-th, so n < 2 or d < 1 is refused by
+    ``macaulay_rep`` itself, in its words."""
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        call()
 
 
 def test_rep_invariants_validated():

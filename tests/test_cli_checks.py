@@ -189,6 +189,45 @@ def test_smallest_lex_probe_still_reports(capsys):
     assert (probe["n_vars"], probe["degree"], probe["total"]) == (2, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "terms, error",
+    [
+        ([("0", [0, 0])], "zero polynomial is not a valid generator"),
+        ([("1", [0, 0]), ("-1", [0, 0])], "zero polynomial is not a valid generator"),
+        ([("2", [0, 0])], "degree-0 generator defines the unit ideal; not supported"),
+    ],
+    ids=["zero-constant", "cancelled-constant", "nonzero-constant"],
+)
+def test_a_constant_generator_is_refused_as_zero_or_as_the_unit_ideal(capsys, tmp_path, terms, error):
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps({"n_vars": 2, "generators": [[{"coeff": c, "exponents": e} for c, e in terms]]}))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["verify", "{f}"], "growth bounds need at least 2 variables"),
+        (["corpus", "--n-min", "1", "--n-max", "1"], "corpus verification needs at least 2 variables"),
+    ],
+    ids=["verify", "corpus"],
+)
+def test_one_variable_is_refused_before_any_graded_piece(capsys, monkeypatch, tmp_path, argv, error):
+    """The growth bounds read the (n-1)-th representation; in one variable
+    there is none, so the refusal comes before any work that it would void."""
+    path = tmp_path / "z1-squared.json"
+    path.write_text(format_ideal(GradedIdeal(1, (poly.monomial_poly((2,)),))))
+    monkeypatch.setattr(poly, "graded_piece_dim", lambda *args, **kwargs: pytest.fail("built a graded piece"))
+    monkeypatch.setattr(oracle, "random_corpus", lambda spec: pytest.fail("generated the corpus"))
+    assert main([a.format(f=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 @pytest.mark.parametrize("fault", [KeyError((5, 1)), IndexError("list index out of range")])
 def test_lookup_fault_inside_a_command_exits_3(capsys, monkeypatch, fault):
     """A failed lookup in a kernel is a bug, not bad input: exit 3, not 2."""
