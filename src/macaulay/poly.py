@@ -4,11 +4,17 @@ A monomial is an exponent tuple, a polynomial is a dict from exponent
 tuples to nonzero exact coefficients, and the degree-d piece of an ideal
 is the row space of the matrix of the monomial multiples of its
 generators, less the rows that Buchberger's product criterion proves
-redundant.  Dimensions come out of exact elimination on integer rows
-(Gaussian rows by fraction-free elimination over the Gaussian integers),
-so every Hilbert function value is exact; an optional
-mode checks each rank against a modular elimination of the full,
-unpruned matrix over three fixed large primes.
+redundant.  The generators are first autoreduced, once per ideal and
+degree by degree: each is divided in grevlex by the lower- and
+same-degree ones kept before it, and dropped if it reaches zero.  Each
+division step adds a multiple of a kept generator, which keeps the ideal
+the same, so the rows span the same I_d with fewer and sparser rows.
+Dimensions come out of exact elimination on integer rows (Gaussian rows
+by fraction-free elimination over the Gaussian integers), so every
+Hilbert function value is exact; an optional mode checks each rank
+against a modular elimination of the full, unpruned matrix of the given
+generators over three fixed large primes, which covers the
+autoreduction and the pruning.
 
 ``hilbert_records`` takes the degrees of one ideal in a single pass.  Once
 H_{R/I}(d) = 0, every later degree is proven full and filled without
@@ -17,13 +23,15 @@ rows or elimination, so neither mode checks it modulo a prime.
 Polynomial coefficients are ``fractions.Fraction``.  Arithmetic uses
 field operations only, and ``_exact_parts`` reads a non-real scalar
 through its ``re``/``im`` parts, so Gaussian-rational coefficients (see
-:mod:`macaulay.hermitian`) work unchanged.  ``GradedIdeal._vectors``
-reads each generator once per ideal, and the rank routines take its
-integer rows as they are.
+:mod:`macaulay.hermitian`) work unchanged.  An ideal's autoreduction
+reads each generator once, as a primitive integer or Gaussian-integer
+vector, and rational and Gaussian ideals are reduced on one path; the
+rank routines take its integer rows as they are.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import operator
@@ -196,26 +204,11 @@ class GradedIdeal:
                 raise ValueError("zero polynomial is not a valid generator")
 
     @cached_property
-    def _vectors(self) -> tuple[list[object], ...]:
-        """Each generator's coefficients in term order, scaled to a primitive
-        integer vector: ints if the ideal is rational, else ``(re, im)`` int
-        pairs for every generator, so a graded piece's rows are one kind.
-
-        Computed on first use and then shared by every degree, so a pass
-        over the degrees converts each generator once; building an ideal
-        converts nothing.  Rows copy the values into new dicts, so no
-        kernel ever consumes these lists.
-        """
-        parts = [_exact_parts(g.terms.values())[:2] for g in self.generators]
-        gaussian = any(any(im) for _, im in parts)
-        vectors = []
-        for re, im in parts:
-            content = math.gcd(*re, *im)
-            if gaussian:
-                vectors.append([(a // content, b // content) for a, b in zip(re, im)])
-            else:
-                vectors.append([a // content for a in re])
-        return tuple(vectors)
+    def _autoreduction(self) -> "_Autoreduction":
+        """This ideal's generators as primitive integer vectors and their
+        autoreduction, made on first use and then shared by every degree;
+        building an ideal converts nothing."""
+        return _Autoreduction(self.n_vars, self.generators, _primitive_integers(self.generators))
 
     @classmethod
     def zero(cls, n_vars: int) -> "GradedIdeal":
@@ -507,6 +500,164 @@ RANK_PRIMES = (2291050459, 4115409913, 3431386421)
 # Graded pieces and Hilbert functions
 # ---------------------------------------------------------------------------
 
+def _cancel(h: dict[int, object], f, a, row: list[tuple[int, object]]) -> None:
+    """h <- (a*h - f*row) / c in place, with c the gcd of the integer parts
+    of the result, so h ends primitive.  Values are ints, or ``(re, im)``
+    int pairs multiplied as Gaussian integers.  f and a are the entries of
+    h and row in one column, which the step cancels; both are first divided
+    by the gcd of their parts."""
+    if type(a) is int:
+        g = math.gcd(a, f)
+        a, f = a // g, f // g
+        if a != 1:
+            for k in h:
+                h[k] *= a
+        for k, v in row:
+            x = h.get(k, 0) - f * v
+            if x:
+                h[k] = x
+            else:
+                del h[k]
+        content = math.gcd(*h.values())
+        if content > 1:
+            for k in h:
+                h[k] //= content
+        return
+    g = math.gcd(*a, *f)
+    (ar, ai), (fr, fi) = (a[0] // g, a[1] // g), (f[0] // g, f[1] // g)
+    for k, (xr, xi) in h.items():
+        h[k] = (ar * xr - ai * xi, ar * xi + ai * xr)
+    for k, (yr, yi) in row:
+        xr, xi = h.get(k, (0, 0))
+        zr, zi = xr - fr * yr + fi * yi, xi - fr * yi - fi * yr
+        if zr or zi:
+            h[k] = (zr, zi)
+        else:
+            del h[k]
+    content = math.gcd(*(x for pair in h.values() for x in pair))
+    if content > 1:
+        for k, (xr, xi) in h.items():
+            h[k] = (xr // content, xi // content)
+
+
+def _primitive_integers(generators: Iterable[HomogPoly]) -> list[list[object]]:
+    """Each generator's coefficients in term order, scaled to a primitive
+    integer vector: ints if every coefficient is real, else ``(re, im)`` int
+    pairs for every generator, so a graded piece's rows are one kind.  This
+    is where an ideal's scalars are read.  Rows and the autoreduction copy
+    the values into new dicts, so nothing ever consumes these lists."""
+    parts = [_exact_parts(g.terms.values())[:2] for g in generators]
+    gaussian = any(any(im) for _, im in parts)
+    vectors = []
+    for re, im in parts:
+        content = math.gcd(*re, *im)
+        if gaussian:
+            vectors.append([(a // content, b // content) for a, b in zip(re, im)])
+        else:
+            vectors.append([a // content for a in re])
+    return vectors
+
+
+class _Autoreduction:
+    """One ideal's generators as primitive integer vectors, and their
+    autoreduction, made degree by degree as graded pieces ask for it.
+
+    ``vectors`` holds each given generator's coefficients in term order as
+    a primitive integer vector (see ``_primitive_integers``).
+
+    ``ideal(d)`` is the ideal of the autoreduced generators of degree <= d.
+    The generators are taken in ascending degree, in the given order within
+    a degree.  Each is divided in grevlex by the ones kept so far until no
+    term is divisible by a kept leading monomial (LM, the grevlex-largest
+    term), and dropped if it reaches zero.  Otherwise it is kept, and its
+    LM is cancelled from the kept generators of its own degree; there it
+    can only be a lower term, since the new generator was divided by them.
+    A division step is h <- (a*h - f*m*g) / c for a kept g, a monomial m
+    and nonzero scalars a, f and c (see ``_cancel``).
+
+    Why the ideal stays the same.  A step replaces h by a combination of h
+    and m*g with a nonzero coefficient on h, and h is recovered from the
+    new h and m*g; so the generators kept so far together with h span the
+    same ideal before and after.  Dropping a zero and scaling by a nonzero
+    scalar change no ideal either.  A generator of degree delta is divided
+    only by kept generators of degree <= delta, so the autoreduced
+    generators of degree <= e generate the ideal of the given generators of
+    degree <= e, for every e; and I_d is spanned by the multiples of the
+    generators of degree <= d.  So ``ideal(d)`` has the same degree-d piece
+    as the given ideal, and every H_I value is exact and unchanged.
+
+    A degree is reduced only when ``ideal(d)`` is asked for some d at or
+    above it, so no generator above the largest degree asked for is ever
+    divided.  The kept generators are ``HomogPoly`` objects whose
+    coefficients are their primitive int or ``(re, im)`` int-pair vectors.
+    """
+
+    def __init__(self, n_vars: int, generators: tuple[HomogPoly, ...], vectors: list[list[object]]):
+        self.n_vars = n_vars
+        self.vectors = tuple(vectors)
+        # the generators not yet divided, in ascending degree and given order, as a stack
+        self._pending = sorted(zip(generators, vectors), key=lambda gv: gv[0].degree)[::-1]
+        self._kept: list[HomogPoly] = []
+        self._ideals: dict[int, GradedIdeal] = {}
+
+    def ideal(self, d: int) -> GradedIdeal:
+        while self._pending and self._pending[-1][0].degree <= d:
+            self._reduce(self._pending[-1][0].degree)
+        count = sum(g.degree <= d for g in self._kept)
+        if count not in self._ideals:
+            gens = tuple(self._kept[:count])
+            reduced = self._ideals[count] = GradedIdeal(self.n_vars, gens)
+            # fill the cached property: the coefficients of a kept generator are its vector already
+            vars(reduced)["_autoreduction"] = _Autoreduction(self.n_vars, gens, [list(g.terms.values()) for g in gens])
+        return self._ideals[count]
+
+    def _reduce(self, delta: int) -> None:
+        """Divide the given generators of degree delta and keep the nonzero ones.
+
+        Monomials of degree delta are packed as in ``_graded_piece_rows``,
+        key(m) = sum of m_i*(delta+1)**i, so the LM of a polynomial is its
+        least key, and a division step only adds keys greater than the one
+        it removes: the terms are divided in ascending key order off a heap.
+        ``divisors`` maps every key that a kept LM divides to the multiple
+        m*g that cancels it, as key(m) and the terms of g by key.
+        """
+        n = self.n_vars
+        powers = [(delta + 1) ** i for i in range(n)]
+        divisors: dict[int, tuple[int, dict[int, object]]] = {}
+        for g in self._kept:
+            terms = {sum(map(operator.mul, t, powers)): v for t, v in g.terms.items()}
+            lead = min(terms)
+            for m in monomials_of_degree(n, delta - g.degree):
+                mk = sum(map(operator.mul, m, powers))
+                divisors.setdefault(lead + mk, (mk, terms))
+        kept: list[dict[int, object]] = []
+        while self._pending and self._pending[-1][0].degree == delta:
+            g, values = self._pending.pop()
+            h = {sum(map(operator.mul, t, powers)): v for t, v in zip(g.terms, values)}
+            heap = sorted(h)
+            while heap:
+                t = heapq.heappop(heap)
+                if t not in h or t not in divisors:
+                    continue
+                mk, div = divisors[t]
+                row = [(mk + k, v) for k, v in div.items()]
+                for k, _ in row:
+                    if k not in h:
+                        heapq.heappush(heap, k)
+                _cancel(h, h[t], div[t - mk], row)
+            if not h:
+                continue
+            lead = min(h)
+            for r in kept:
+                if lead in r:
+                    _cancel(r, r[lead], h[lead], list(h.items()))
+            divisors[lead] = (0, h)
+            kept.append(h)
+        for h in kept:
+            terms = {tuple(k // p % (delta + 1) for p in powers): v for k, v in sorted(h.items())}
+            self._kept.append(HomogPoly(n, delta, terms))
+
+
 def _graded_piece_rows(ideal: GradedIdeal, d: int) -> tuple[list[dict[int, object]], Iterator[dict[int, object]]]:
     """Sparse rows spanning I_d, in the monomials_of_degree column basis:
     the kept monomial multiples m*g_j with deg m + deg g_j = d, and a lazy
@@ -529,14 +680,16 @@ def _graded_piece_rows(ideal: GradedIdeal, d: int) -> tuple[list[dict[int, objec
     order, so (m'*s)*g_j lies in that span too.  As c != 0, so does m*g_j.
 
     The rows of a generator are its coefficients scaled once per ideal to
-    a primitive integer or Gaussian-integer vector (``GradedIdeal._vectors``),
-    which ``exact_rank`` takes as they are.  Scaling a generator by a
-    nonzero scalar leaves every row span unchanged, so every H_I stays
-    exact.  Monomials are packed into the ints
-    key(m) = sum of m_i*(d+1)**i: every exponent of a monomial of degree
-    <= d is below d+1, so the key is injective there, key(m) + key(t) =
-    key(m*t), and keys ascend in monomials_of_degree order, so LM(g) is
-    the term of least key.
+    a primitive integer or Gaussian-integer vector (``_primitive_integers``,
+    kept by the ideal's ``_Autoreduction``), which ``exact_rank`` takes as
+    they are.  Scaling a generator by a nonzero scalar leaves every row
+    span unchanged, so every H_I stays exact.  ``graded_piece_dim`` passes
+    the ideal of the autoreduced generators, which has the same I_d (see
+    ``_Autoreduction``) with fewer and sparser rows.  Monomials are packed
+    into the ints key(m) = sum of m_i*(d+1)**i: every exponent of a
+    monomial of degree <= d is below d+1, so the key is injective there,
+    key(m) + key(t) = key(m*t), and keys ascend in monomials_of_degree
+    order, so LM(g) is the term of least key.
     """
     if all(g.degree > d for g in ideal.generators):
         return [], iter(())
@@ -550,7 +703,7 @@ def _graded_piece_rows(ideal: GradedIdeal, d: int) -> tuple[list[dict[int, objec
     kept: list[dict[int, object]] = []
     skipped: list[tuple[list[int], list[object], int]] = []
     leads: list[tuple[int, int]] = []
-    for g, values in zip(ideal.generators, ideal._vectors):
+    for g, values in zip(ideal.generators, ideal._autoreduction.vectors):
         e = d - g.degree
         if e < 0:
             continue
@@ -574,22 +727,25 @@ def graded_piece_dim(ideal: GradedIdeal, d: int, mode: str = "exact") -> int:
     Buchberger's product criterion keeps (see ``_graded_piece_rows``); no
     basis computation is needed for a single graded piece.
 
-    Both modes return ``exact_rank`` of the kept rows.  mode="modular-checked"
-    also checks it against a different elimination, ``rank_mod_prime``, of
-    the full, unpruned matrix over the primes of ``RANK_PRIMES``: at least
-    one must give the same rank, or the call raises ``ArithmeticError``.  A
-    modular rank falls short only when the prime divides every maximal
-    nonzero minor of the integer rows, so a mismatch at all three primes
-    points at a bug, in the elimination or in the pruning; it is never
-    answered.
+    Both modes return ``exact_rank`` of the rows kept for the autoreduced
+    generators of degree <= d (see ``_Autoreduction``), which span the
+    same I_d.  mode="modular-checked" also checks it against a different
+    elimination, ``rank_mod_prime``, of the full, unpruned matrix of the
+    given generators over the primes of ``RANK_PRIMES``: at least one must
+    give the same rank, or the call raises ``ArithmeticError``.  A modular
+    rank falls short only when the prime divides every maximal nonzero
+    minor of the integer rows, so a mismatch at all three primes points at
+    a bug, in the elimination, the autoreduction or the pruning; it is
+    never answered.
     """
     if mode not in ("exact", "modular-checked"):
         raise ValueError(f"unknown mode {mode!r}")
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    kept, skipped = _graded_piece_rows(ideal, d)
+    kept, _ = _graded_piece_rows(ideal._autoreduction.ideal(d), d)
     rank = exact_rank(kept)
     if mode == "modular-checked":
+        kept, skipped = _graded_piece_rows(ideal, d)
         rows = kept + list(skipped)
         if all(rank_mod_prime(rows, p) != rank for p in RANK_PRIMES):
             raise ArithmeticError(f"exact rank {rank} of I_{d} matches no modular rank over {RANK_PRIMES}")

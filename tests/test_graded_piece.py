@@ -12,6 +12,7 @@ vanishes without elimination, are checked against the records of single
 degrees.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -171,6 +172,105 @@ def test_modular_checked_catches_a_pruned_needed_row(capsys, monkeypatch, tmp_pa
         return kept[1:], iter([*kept[:1], *skipped])
 
     monkeypatch.setattr(poly, "_graded_piece_rows", prune_one_more)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: exact rank ")
+
+
+def divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideals(), st.integers(1, 6))
+@example(GradedIdeal(3, (HomogPoly(3, 1, {(1, 0, 0): 1, (0, 1, 0): 1}),
+                        HomogPoly(3, 1, {(0, 1, 0): 1, (0, 0, 1): 1}))), 1)
+def test_autoreduced_generators_are_reduced_and_primitive(ideal, d):
+    """No term of a reduced generator is divisible by the leading monomial
+    of another, and each holds a primitive vector of the ideal's one kind:
+    ints, or (re, im) int pairs if a coefficient is not real.  That the
+    reduced generators keep I_d is the rank check of
+    ``test_kept_rows_span_every_monomial_multiple``.  The example needs
+    the back-reduction of z1 + z2 by the later z2 + z3."""
+    reduced = ideal._autoreduction.ideal(d).generators
+    assert all(g.degree <= d for g in reduced)
+    leads = [min(g.terms, key=grevlex_key) for g in reduced]
+    for i, g in enumerate(reduced):
+        for j, lead in enumerate(leads):
+            if i != j:
+                assert not any(divides(lead, t) for t in g.terms), (g, reduced[j])
+    gaussian = any(getattr(c, "im", 0) for g in ideal.generators for c in g.terms.values())
+    for g in reduced:
+        values = list(g.terms.values())
+        if gaussian:
+            assert all(type(v) is tuple and [type(x) for x in v] == [int, int] for v in values)
+            assert math.gcd(*(x for v in values for x in v)) == 1
+        else:
+            assert all(type(v) is int for v in values)
+            assert math.gcd(*values) == 1
+
+
+def test_autoreduction_worked_cases():
+    z1, z2, z3 = (variable(i, 3) for i in range(3))
+    one = Fraction(1)
+    # a multiple and a generator the first divides to zero are dropped
+    given = GradedIdeal(3, (z1 + z2, 2 * (z1 + z2), z1 * z1 + z1 * z2))
+    assert given._autoreduction.ideal(2).generators == (HomogPoly(3, 1, {(1, 0, 0): 1, (0, 1, 0): 1}),)
+    assert given._autoreduction.ideal(0).generators == ()
+    assert [graded_piece_dim(given, d) for d in range(4)] == [0, 1, 3, 6]
+    # a monomial divisible by an earlier one is dropped, whatever the order given
+    for gens in ((z1, z1 * z2), (z1 * z2, z1)):
+        assert GradedIdeal(3, gens)._autoreduction.ideal(3).generators == (monomial_poly((1, 0, 0), 1),)
+    # z1 + z2 loses its z2 to the later z2 + z3 of the same degree; the pair is made primitive
+    pair = GradedIdeal(3, (z1 + z2, z2 * Fraction(2, 3) + z3 * Fraction(2, 3)))
+    assert pair._autoreduction.ideal(1).generators == (
+        HomogPoly(3, 1, {(1, 0, 0): 1, (0, 0, 1): -1}), HomogPoly(3, 1, {(0, 1, 0): 1, (0, 0, 1): 1}))
+    # over Q(i): i*(z1 + i*z2) is a multiple, and z1*(z1 + i*z2) reduces to zero
+    i = GaussianRational(0, 1)
+    gaussian = GradedIdeal(2, (HomogPoly(2, 1, {(1, 0): one, (0, 1): i}), HomogPoly(2, 1, {(1, 0): i, (0, 1): -one}),
+                               HomogPoly(2, 2, {(2, 0): one, (1, 1): i})))
+    assert gaussian._autoreduction.ideal(2).generators == (HomogPoly(2, 1, {(1, 0): (1, 0), (0, 1): (0, 1)}),)
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular-checked"])
+def test_autoreduction_stops_at_the_largest_degree_asked(capsys, monkeypatch, tmp_path, mode):
+    """(z1 + ... + z10, z1^8) up to degree 3: the degree-8 generator is never
+    divided; dividing it would expand z1^8 into (z2 + ... + z10)^8."""
+    linear = HomogPoly(10, 1, {tuple(int(i == k) for i in range(10)): 1 for k in range(10)})
+    path = tmp_path / "ideal.json"
+    path.write_text(format_ideal(GradedIdeal(10, (linear, monomial_poly((8,) + (0,) * 9)))))
+    divided = []
+    true_reduce = poly._Autoreduction._reduce
+
+    def counted(self, delta):
+        divided.append(delta)
+        return true_reduce(self, delta)
+
+    monkeypatch.setattr(poly._Autoreduction, "_reduce", counted)
+    argv = ["--format", "structured", "hilbert", str(path), "--d-max", "3", "--mode", mode]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["h_ideal"] == [0, 1, 10, 55]
+    assert divided == [1]
+
+
+def test_modular_checked_catches_a_dropped_reduced_generator(capsys, monkeypatch, tmp_path):
+    """(z1 + z2, z1 + z3) autoreduces to (z1 + z3, z2 - z3) up to sign; with
+    the last reduced generator dropped, the exact rank falls short of the
+    rank of the given generators' multiples."""
+    z1, z2, z3 = (variable(i, 3) for i in range(3))
+    path = tmp_path / "ideal.json"
+    path.write_text(format_ideal(GradedIdeal(3, (z1 + z2, z1 + z3))))
+    argv = ["hilbert", str(path), "--d-max", "3", "--mode", "modular-checked"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    true_ideal = poly._Autoreduction.ideal
+
+    def drop_last(self, d):
+        reduced = true_ideal(self, d)
+        return GradedIdeal(reduced.n_vars, reduced.generators[:-1])
+
+    monkeypatch.setattr(poly._Autoreduction, "ideal", drop_last)
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -3,7 +3,7 @@ generator, and the rank routines read their rows without changing them.
 
 The row oracle numbers the columns, orders the multipliers, applies the
 product criterion and makes each generator primitive with its own code,
-sharing nothing with ``poly._graded_piece_rows`` or ``GradedIdeal._vectors``.
+sharing nothing with ``poly._graded_piece_rows`` or ``poly._primitive_integers``.
 """
 
 import copy
