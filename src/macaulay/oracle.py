@@ -71,18 +71,20 @@ def lex_segment_ideal(n_vars: int, d: int, k: int) -> GradedIdeal:
 def lex_growth_report(n_vars: int, d: int) -> dict:
     """How often lex-segment ideals hit the forward growth bound with
     equality.  Reported, never asserted: the bound is an inequality and
-    nothing in this package claims sharpness."""
+    nothing in this package claims sharpness.
+
+    The k generators of a lex-segment ideal are distinct monomials of
+    degree d, so H_I(d) = k without elimination; the bound is asked before
+    the one graded piece at d + 1 is built."""
     dim = len(monomials_of_degree(n_vars, d))
     cases = []
     tight = 0
     for k in range(1, dim + 1):
-        ideal = lex_segment_ideal(n_vars, d, k)
-        h_d = graded_piece_dim(ideal, d)
-        h_d1 = graded_piece_dim(ideal, d + 1)
-        bound = macaulay_bound_ideal(h_d, n_vars)
+        bound = macaulay_bound_ideal(k, n_vars)
+        h_d1 = graded_piece_dim(lex_segment_ideal(n_vars, d, k), d + 1)
         is_tight = h_d1 == bound
         tight += is_tight
-        cases.append({"k": k, "h_d": h_d, "h_d1": h_d1, "bound": bound, "tight": is_tight})
+        cases.append({"k": k, "h_d": k, "h_d1": h_d1, "bound": bound, "tight": is_tight})
     return {"n_vars": n_vars, "degree": d, "tight": tight, "total": dim, "cases": cases}
 
 

@@ -23,10 +23,12 @@ rows or elimination, so neither mode checks it modulo a prime.
 Polynomial coefficients are ``fractions.Fraction``.  Arithmetic uses
 field operations only, and ``_exact_parts`` reads a non-real scalar
 through its ``re``/``im`` parts, so Gaussian-rational coefficients (see
-:mod:`macaulay.hermitian`) work unchanged.  An ideal's autoreduction
-reads each generator once, as a primitive integer or Gaussian-integer
-vector, and rational and Gaussian ideals are reduced on one path; the
-rank routines take its integer rows as they are.
+:mod:`macaulay.hermitian`) work unchanged.  The matrix path reads each
+generator once, into one format, ``(degree, {monomial: value})`` with
+primitive integer or Gaussian-integer values, that the autoreduction,
+the graded-piece rows and the modular check all take; rational and
+Gaussian ideals are reduced on one path, and the rank routines take the
+rows as they are.
 """
 
 from __future__ import annotations
@@ -205,10 +207,10 @@ class GradedIdeal:
 
     @cached_property
     def _autoreduction(self) -> "_Autoreduction":
-        """This ideal's generators as primitive integer vectors and their
+        """This ideal's generators in the matrix path's format and their
         autoreduction, made on first use and then shared by every degree;
         building an ideal converts nothing."""
-        return _Autoreduction(self.n_vars, self.generators, _primitive_integers(self.generators))
+        return _Autoreduction(self.n_vars, _primitive_integers(self.generators))
 
     @classmethod
     def zero(cls, n_vars: int) -> "GradedIdeal":
@@ -257,6 +259,48 @@ def _exact_parts(values: Iterable) -> tuple[list[int], list[int], int]:
     return [x.numerator * (den // x.denominator) for x in re], [x.numerator * (den // x.denominator) for x in im], den
 
 
+def _cancel(h: dict[int, object], f, a, row: list[tuple[int, object]]) -> None:
+    """h <- (a*h - f*row) / c in place, with c the gcd of the integer parts
+    of the result, so h ends primitive.  Values are ints, or ``(re, im)``
+    int pairs multiplied as Gaussian integers.  f and a are the entries of
+    h and row in one column, which the step cancels and ``row`` omits; both
+    are first divided by the gcd of their parts.  This is the row step of
+    the autoreduction and of ``_echelon_rank``, whose int rows may hold a
+    zero entry."""
+    if type(a) is int:
+        g = math.gcd(a, f)
+        a, f = a // g, f // g
+        if a != 1:
+            for k in h:
+                h[k] *= a
+        for k, v in row:
+            x = h.get(k, 0) - f * v
+            if x:
+                h[k] = x
+            else:
+                h.pop(k, None)  # absent only beside a zero entry
+        content = math.gcd(*h.values())
+        if content > 1:  # 0 if h is empty or all zero entries, which the pivot check refuses later
+            for k in h:
+                h[k] //= content
+        return
+    g = math.gcd(*a, *f)
+    (ar, ai), (fr, fi) = (a[0] // g, a[1] // g), (f[0] // g, f[1] // g)
+    for k, (xr, xi) in h.items():
+        h[k] = (ar * xr - ai * xi, ar * xi + ai * xr)
+    for k, (yr, yi) in row:
+        xr, xi = h.get(k, (0, 0))
+        zr, zi = xr - fr * yr + fi * yi, xi - fr * yi - fi * yr
+        if zr or zi:
+            h[k] = (zr, zi)
+        else:
+            del h[k]
+    content = math.gcd(*(x for pair in h.values() for x in pair))
+    if content > 1:
+        for k, (xr, xi) in h.items():
+            h[k] = (xr // content, xi // content)
+
+
 def _echelon_rank(rows: list[dict[int, int]]) -> int:
     """Rank of nonzero integer rows; the rows are consumed.
 
@@ -264,9 +308,10 @@ def _echelon_rank(rows: list[dict[int, int]]) -> int:
     swept once in ascending order.  At a column with a nonempty bucket the
     shortest row there is the pivot row; since no row has an earlier entry,
     the other rows of that bucket are exactly the rows that hold the pivot
-    column.  Each one becomes ``(p/g)*row - (f/g)*prow`` with
-    ``g = gcd(p, f)``, divided by its content, and moves to the bucket of
-    its new leading column.  Every other row is left as it is.
+    column.  Each one is updated in place by ``_cancel``, to
+    ``(a*row - f*prow) / content`` with a and f the pivot entry and the
+    row's entry over their gcd, and moves to the bucket of its new leading
+    column.  Every other row is left as it is.
 
     One sweep suffices because leads only grow: an updated row has lost
     the pivot column and had no earlier entry, so its new lead lies after
@@ -293,22 +338,9 @@ def _echelon_rank(rows: list[dict[int, int]]) -> int:
         for row in bucket:
             if row is prow:
                 continue
-            f = row.pop(pcol)
-            g = math.gcd(p, f)
-            a, b = p // g, f // g
-            new = {c: a * v for c, v in row.items()} if a != 1 else row
-            for c, v in tail:
-                x = new.get(c, 0) - b * v
-                if x:
-                    new[c] = x
-                else:
-                    new.pop(c, None)  # absent only beside a zero entry
-            if not new:
-                continue
-            content = math.gcd(*new.values())
-            if content > 1:  # 0 for a row of zero entries, which the pivot check refuses
-                new = {c: v // content for c, v in new.items()}
-            buckets.setdefault(min(new), []).append(new)
+            _cancel(row, row.pop(pcol), p, tail)
+            if row:
+                buckets.setdefault(min(row), []).append(row)
     return rank
 
 
@@ -500,80 +532,44 @@ RANK_PRIMES = (2291050459, 4115409913, 3431386421)
 # Graded pieces and Hilbert functions
 # ---------------------------------------------------------------------------
 
-def _cancel(h: dict[int, object], f, a, row: list[tuple[int, object]]) -> None:
-    """h <- (a*h - f*row) / c in place, with c the gcd of the integer parts
-    of the result, so h ends primitive.  Values are ints, or ``(re, im)``
-    int pairs multiplied as Gaussian integers.  f and a are the entries of
-    h and row in one column, which the step cancels; both are first divided
-    by the gcd of their parts."""
-    if type(a) is int:
-        g = math.gcd(a, f)
-        a, f = a // g, f // g
-        if a != 1:
-            for k in h:
-                h[k] *= a
-        for k, v in row:
-            x = h.get(k, 0) - f * v
-            if x:
-                h[k] = x
-            else:
-                del h[k]
-        content = math.gcd(*h.values())
-        if content > 1:
-            for k in h:
-                h[k] //= content
-        return
-    g = math.gcd(*a, *f)
-    (ar, ai), (fr, fi) = (a[0] // g, a[1] // g), (f[0] // g, f[1] // g)
-    for k, (xr, xi) in h.items():
-        h[k] = (ar * xr - ai * xi, ar * xi + ai * xr)
-    for k, (yr, yi) in row:
-        xr, xi = h.get(k, (0, 0))
-        zr, zi = xr - fr * yr + fi * yi, xi - fr * yi - fi * yr
-        if zr or zi:
-            h[k] = (zr, zi)
-        else:
-            del h[k]
-    content = math.gcd(*(x for pair in h.values() for x in pair))
-    if content > 1:
-        for k, (xr, xi) in h.items():
-            h[k] = (xr // content, xi // content)
+# The matrix path's one generator format: (degree, {monomial: value}), the
+# values a primitive int vector, or a primitive vector of (re, im) int pairs.
+_Generator = tuple[int, dict[Monomial, object]]
 
 
-def _primitive_integers(generators: Iterable[HomogPoly]) -> list[list[object]]:
-    """Each generator's coefficients in term order, scaled to a primitive
-    integer vector: ints if every coefficient is real, else ``(re, im)`` int
-    pairs for every generator, so a graded piece's rows are one kind.  This
-    is where an ideal's scalars are read.  Rows and the autoreduction copy
-    the values into new dicts, so nothing ever consumes these lists."""
+def _primitive_integers(generators: tuple[HomogPoly, ...]) -> list[_Generator]:
+    """Each generator as ``(degree, terms)``, its coefficients in term order
+    scaled to a primitive integer vector: ints if every coefficient is
+    real, else ``(re, im)`` int pairs for every generator, so a graded
+    piece's rows are one kind.  This is where an ideal's scalars are read.
+    Rows and the autoreduction copy the values into new dicts, so nothing
+    ever consumes these."""
     parts = [_exact_parts(g.terms.values())[:2] for g in generators]
     gaussian = any(any(im) for _, im in parts)
-    vectors = []
-    for re, im in parts:
+    out = []
+    for g, (re, im) in zip(generators, parts):
         content = math.gcd(*re, *im)
-        if gaussian:
-            vectors.append([(a // content, b // content) for a, b in zip(re, im)])
-        else:
-            vectors.append([a // content for a in re])
-    return vectors
+        values = [(a // content, b // content) for a, b in zip(re, im)] if gaussian else [a // content for a in re]
+        out.append((g.degree, dict(zip(g.terms, values))))
+    return out
 
 
 class _Autoreduction:
-    """One ideal's generators as primitive integer vectors, and their
+    """One ideal's generators in the matrix path's format, and their
     autoreduction, made degree by degree as graded pieces ask for it.
 
-    ``vectors`` holds each given generator's coefficients in term order as
-    a primitive integer vector (see ``_primitive_integers``).
-
-    ``ideal(d)`` is the ideal of the autoreduced generators of degree <= d.
-    The generators are taken in ascending degree, in the given order within
-    a degree.  Each is divided in grevlex by the ones kept so far until no
+    ``given`` holds the given generators as ``_primitive_integers`` makes
+    them.  ``generators(d)`` reduces every degree <= d not yet reduced and
+    returns the kept generators of degree <= d, in the same format.  The
+    generators are taken in ascending degree, in the given order within a
+    degree.  Each is divided in grevlex by the ones kept so far until no
     term is divisible by a kept leading monomial (LM, the grevlex-largest
     term), and dropped if it reaches zero.  Otherwise it is kept, and its
     LM is cancelled from the kept generators of its own degree; there it
     can only be a lower term, since the new generator was divided by them.
     A division step is h <- (a*h - f*m*g) / c for a kept g, a monomial m
-    and nonzero scalars a, f and c (see ``_cancel``).
+    and nonzero scalars a, f and c (see ``_cancel``), so every kept
+    generator stays primitive.
 
     Why the ideal stays the same.  A step replaces h by a combination of h
     and m*g with a nonzero coefficient on h, and h is recovered from the
@@ -583,33 +579,26 @@ class _Autoreduction:
     only by kept generators of degree <= delta, so the autoreduced
     generators of degree <= e generate the ideal of the given generators of
     degree <= e, for every e; and I_d is spanned by the multiples of the
-    generators of degree <= d.  So ``ideal(d)`` has the same degree-d piece
-    as the given ideal, and every H_I value is exact and unchanged.
+    generators of degree <= d.  So ``generators(d)`` spans the same
+    degree-d piece as the given ideal, and every H_I value is exact and
+    unchanged.
 
-    A degree is reduced only when ``ideal(d)`` is asked for some d at or
-    above it, so no generator above the largest degree asked for is ever
-    divided.  The kept generators are ``HomogPoly`` objects whose
-    coefficients are their primitive int or ``(re, im)`` int-pair vectors.
+    A degree is reduced only when ``generators(d)`` is asked for some d at
+    or above it, so no generator above the largest degree asked for is
+    ever divided.
     """
 
-    def __init__(self, n_vars: int, generators: tuple[HomogPoly, ...], vectors: list[list[object]]):
+    def __init__(self, n_vars: int, given: list[_Generator]):
         self.n_vars = n_vars
-        self.vectors = tuple(vectors)
+        self.given = given
         # the generators not yet divided, in ascending degree and given order, as a stack
-        self._pending = sorted(zip(generators, vectors), key=lambda gv: gv[0].degree)[::-1]
-        self._kept: list[HomogPoly] = []
-        self._ideals: dict[int, GradedIdeal] = {}
+        self._pending = sorted(given, key=lambda g: g[0])[::-1]
+        self._kept: list[_Generator] = []
 
-    def ideal(self, d: int) -> GradedIdeal:
-        while self._pending and self._pending[-1][0].degree <= d:
-            self._reduce(self._pending[-1][0].degree)
-        count = sum(g.degree <= d for g in self._kept)
-        if count not in self._ideals:
-            gens = tuple(self._kept[:count])
-            reduced = self._ideals[count] = GradedIdeal(self.n_vars, gens)
-            # fill the cached property: the coefficients of a kept generator are its vector already
-            vars(reduced)["_autoreduction"] = _Autoreduction(self.n_vars, gens, [list(g.terms.values()) for g in gens])
-        return self._ideals[count]
+    def generators(self, d: int) -> list[_Generator]:
+        while self._pending and self._pending[-1][0] <= d:
+            self._reduce(self._pending[-1][0])
+        return [g for g in self._kept if g[0] <= d]
 
     def _reduce(self, delta: int) -> None:
         """Divide the given generators of degree delta and keep the nonzero ones.
@@ -624,16 +613,16 @@ class _Autoreduction:
         n = self.n_vars
         powers = [(delta + 1) ** i for i in range(n)]
         divisors: dict[int, tuple[int, dict[int, object]]] = {}
-        for g in self._kept:
-            terms = {sum(map(operator.mul, t, powers)): v for t, v in g.terms.items()}
-            lead = min(terms)
-            for m in monomials_of_degree(n, delta - g.degree):
+        for degree, terms in self._kept:
+            keyed = {sum(map(operator.mul, t, powers)): v for t, v in terms.items()}
+            lead = min(keyed)
+            for m in monomials_of_degree(n, delta - degree):
                 mk = sum(map(operator.mul, m, powers))
-                divisors.setdefault(lead + mk, (mk, terms))
+                divisors.setdefault(lead + mk, (mk, keyed))
         kept: list[dict[int, object]] = []
-        while self._pending and self._pending[-1][0].degree == delta:
-            g, values = self._pending.pop()
-            h = {sum(map(operator.mul, t, powers)): v for t, v in zip(g.terms, values)}
+        while self._pending and self._pending[-1][0] == delta:
+            _, terms = self._pending.pop()
+            h = {sum(map(operator.mul, t, powers)): v for t, v in terms.items()}
             heap = sorted(h)
             while heap:
                 t = heapq.heappop(heap)
@@ -654,15 +643,16 @@ class _Autoreduction:
             divisors[lead] = (0, h)
             kept.append(h)
         for h in kept:
-            terms = {tuple(k // p % (delta + 1) for p in powers): v for k, v in sorted(h.items())}
-            self._kept.append(HomogPoly(n, delta, terms))
+            self._kept.append((delta, {tuple(k // p % (delta + 1) for p in powers): v for k, v in sorted(h.items())}))
 
 
-def _graded_piece_rows(ideal: GradedIdeal, d: int) -> tuple[list[dict[int, object]], Iterator[dict[int, object]]]:
-    """Sparse rows spanning I_d, in the monomials_of_degree column basis:
-    the kept monomial multiples m*g_j with deg m + deg g_j = d, and a lazy
-    iterator over the skipped ones.  Generators of degree > d contribute
-    nothing; when no generator is left, no column is built.
+def _graded_piece_rows(n_vars: int, generators: list[_Generator],
+                       d: int) -> tuple[list[dict[int, object]], Iterator[dict[int, object]]]:
+    """Sparse rows spanning the degree-d piece of the ideal of
+    ``generators``, in the monomials_of_degree column basis: the kept
+    monomial multiples m*g_j with deg m + deg g_j = d, and a lazy iterator
+    over the skipped ones.  Generators of degree > d contribute nothing;
+    when no generator is left, no column is built.
 
     The row m*g_j is skipped when the leading monomial LM(g_i) of an
     earlier generator (i < j) divides m; LM is the grevlex-largest term,
@@ -679,22 +669,22 @@ def _graded_piece_rows(ideal: GradedIdeal, d: int) -> tuple[list[dict[int, objec
     since i < j.  Each m'*s is smaller than m, since grevlex is a monomial
     order, so (m'*s)*g_j lies in that span too.  As c != 0, so does m*g_j.
 
-    The rows of a generator are its coefficients scaled once per ideal to
-    a primitive integer or Gaussian-integer vector (``_primitive_integers``,
-    kept by the ideal's ``_Autoreduction``), which ``exact_rank`` takes as
-    they are.  Scaling a generator by a nonzero scalar leaves every row
-    span unchanged, so every H_I stays exact.  ``graded_piece_dim`` passes
-    the ideal of the autoreduced generators, which has the same I_d (see
-    ``_Autoreduction``) with fewer and sparser rows.  Monomials are packed
-    into the ints key(m) = sum of m_i*(d+1)**i: every exponent of a
-    monomial of degree <= d is below d+1, so the key is injective there,
-    key(m) + key(t) = key(m*t), and keys ascend in monomials_of_degree
-    order, so LM(g) is the term of least key.
+    The generators come as ``(degree, terms)`` with primitive integer or
+    Gaussian-integer values (see ``_primitive_integers``), which become the
+    row values as they are, the form ``exact_rank`` takes.  Scaling a
+    generator by a nonzero scalar leaves every row span unchanged, so
+    every H_I stays exact.  ``graded_piece_dim`` passes the autoreduced
+    generators, which span the same I_d (see ``_Autoreduction``) with fewer
+    and sparser rows.  Monomials are packed into the ints
+    key(m) = sum of m_i*(d+1)**i: every exponent of a monomial of degree
+    <= d is below d+1, so the key is injective there, key(m) + key(t) =
+    key(m*t), and keys ascend in monomials_of_degree order, so LM(g) is the
+    term of least key.
     """
-    if all(g.degree > d for g in ideal.generators):
+    if all(degree > d for degree, _ in generators):
         return [], iter(())
-    powers = [(d + 1) ** i for i in range(ideal.n_vars)]
-    keys = [[sum(map(operator.mul, m, powers)) for m in monomials_of_degree(ideal.n_vars, k)] for k in range(d + 1)]
+    powers = [(d + 1) ** i for i in range(n_vars)]
+    keys = [[sum(map(operator.mul, m, powers)) for m in monomials_of_degree(n_vars, k)] for k in range(d + 1)]
     col_index = {k: i for i, k in enumerate(keys[d])}
 
     def row(tkeys: list[int], values: list[object], mk: int) -> dict[int, object]:
@@ -703,18 +693,19 @@ def _graded_piece_rows(ideal: GradedIdeal, d: int) -> tuple[list[dict[int, objec
     kept: list[dict[int, object]] = []
     skipped: list[tuple[list[int], list[object], int]] = []
     leads: list[tuple[int, int]] = []
-    for g, values in zip(ideal.generators, ideal._autoreduction.vectors):
-        e = d - g.degree
+    for degree, terms in generators:
+        e = d - degree
         if e < 0:
             continue
-        tkeys = [sum(map(operator.mul, t, powers)) for t in g.terms]
+        tkeys = [sum(map(operator.mul, t, powers)) for t in terms]
+        values = list(terms.values())
         skip = {lk + mk for ldeg, lk in leads if ldeg <= e for mk in keys[e - ldeg]}
         for mk in keys[e]:
             if mk in skip:
                 skipped.append((tkeys, values, mk))
             else:
                 kept.append(row(tkeys, values, mk))
-        leads.append((g.degree, min(tkeys)))
+        leads.append((degree, min(tkeys)))
     return kept, (row(*args) for args in skipped)
 
 
@@ -742,10 +733,11 @@ def graded_piece_dim(ideal: GradedIdeal, d: int, mode: str = "exact") -> int:
         raise ValueError(f"unknown mode {mode!r}")
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
-    kept, _ = _graded_piece_rows(ideal._autoreduction.ideal(d), d)
+    reduction = ideal._autoreduction
+    kept, _ = _graded_piece_rows(ideal.n_vars, reduction.generators(d), d)
     rank = exact_rank(kept)
     if mode == "modular-checked":
-        kept, skipped = _graded_piece_rows(ideal, d)
+        kept, skipped = _graded_piece_rows(ideal.n_vars, reduction.given, d)
         rows = kept + list(skipped)
         if all(rank_mod_prime(rows, p) != rank for p in RANK_PRIMES):
             raise ArithmeticError(f"exact rank {rank} of I_{d} matches no modular rank over {RANK_PRIMES}")

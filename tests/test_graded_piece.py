@@ -149,13 +149,13 @@ def test_monomial_ideals_match_the_brute_count(ideal, d):
 def test_worked_values():
     assert [graded_piece_dim(CYCLOTOMIC, d) for d in range(1, 7)] == [1, 3, 4, 5, 6, 7]
     z1z2 = GradedIdeal(3, (variable(0, 3), variable(1, 3)))
-    kept, skipped = poly._graded_piece_rows(z1z2, 2)
+    kept, skipped = poly._graded_piece_rows(3, z1z2._autoreduction.given, 2)
     assert len(kept) == 5
     assert len(kept) + len(list(skipped)) == len(all_multiples(z1z2, 2)) == 6
     assert graded_piece_dim(z1z2, 2) == 5
     # a copy keeps just its multiples by monomials free of z1, the first's lead
     z1_twice = GradedIdeal(2, (monomial_poly((1, 0), Fraction(2)), variable(0, 2)))
-    assert [len(poly._graded_piece_rows(z1_twice, d)[0]) for d in (1, 2, 3)] == [2, 3, 4]
+    assert [len(poly._graded_piece_rows(2, z1_twice._autoreduction.given, d)[0]) for d in (1, 2, 3)] == [2, 3, 4]
     assert [graded_piece_dim(z1_twice, d) for d in (1, 2, 3)] == [1, 2, 3]
 
 
@@ -167,8 +167,8 @@ def test_modular_checked_catches_a_pruned_needed_row(capsys, monkeypatch, tmp_pa
     capsys.readouterr()
     true_rows = poly._graded_piece_rows
 
-    def prune_one_more(ideal, d):
-        kept, skipped = true_rows(ideal, d)
+    def prune_one_more(n_vars, generators, d):
+        kept, skipped = true_rows(n_vars, generators, d)
         return kept[1:], iter([*kept[:1], *skipped])
 
     monkeypatch.setattr(poly, "_graded_piece_rows", prune_one_more)
@@ -193,16 +193,16 @@ def test_autoreduced_generators_are_reduced_and_primitive(ideal, d):
     reduced generators keep I_d is the rank check of
     ``test_kept_rows_span_every_monomial_multiple``.  The example needs
     the back-reduction of z1 + z2 by the later z2 + z3."""
-    reduced = ideal._autoreduction.ideal(d).generators
-    assert all(g.degree <= d for g in reduced)
-    leads = [min(g.terms, key=grevlex_key) for g in reduced]
-    for i, g in enumerate(reduced):
+    reduced = ideal._autoreduction.generators(d)
+    assert all(degree <= d for degree, _ in reduced)
+    leads = [min(terms, key=grevlex_key) for _, terms in reduced]
+    for i, (_, terms) in enumerate(reduced):
         for j, lead in enumerate(leads):
             if i != j:
-                assert not any(divides(lead, t) for t in g.terms), (g, reduced[j])
+                assert not any(divides(lead, t) for t in terms), (terms, reduced[j])
     gaussian = any(getattr(c, "im", 0) for g in ideal.generators for c in g.terms.values())
-    for g in reduced:
-        values = list(g.terms.values())
+    for _, terms in reduced:
+        values = list(terms.values())
         if gaussian:
             assert all(type(v) is tuple and [type(x) for x in v] == [int, int] for v in values)
             assert math.gcd(*(x for v in values for x in v)) == 1
@@ -216,21 +216,20 @@ def test_autoreduction_worked_cases():
     one = Fraction(1)
     # a multiple and a generator the first divides to zero are dropped
     given = GradedIdeal(3, (z1 + z2, 2 * (z1 + z2), z1 * z1 + z1 * z2))
-    assert given._autoreduction.ideal(2).generators == (HomogPoly(3, 1, {(1, 0, 0): 1, (0, 1, 0): 1}),)
-    assert given._autoreduction.ideal(0).generators == ()
+    assert given._autoreduction.generators(2) == [(1, {(1, 0, 0): 1, (0, 1, 0): 1})]
+    assert given._autoreduction.generators(0) == []
     assert [graded_piece_dim(given, d) for d in range(4)] == [0, 1, 3, 6]
     # a monomial divisible by an earlier one is dropped, whatever the order given
     for gens in ((z1, z1 * z2), (z1 * z2, z1)):
-        assert GradedIdeal(3, gens)._autoreduction.ideal(3).generators == (monomial_poly((1, 0, 0), 1),)
+        assert GradedIdeal(3, gens)._autoreduction.generators(3) == [(1, {(1, 0, 0): 1})]
     # z1 + z2 loses its z2 to the later z2 + z3 of the same degree; the pair is made primitive
     pair = GradedIdeal(3, (z1 + z2, z2 * Fraction(2, 3) + z3 * Fraction(2, 3)))
-    assert pair._autoreduction.ideal(1).generators == (
-        HomogPoly(3, 1, {(1, 0, 0): 1, (0, 0, 1): -1}), HomogPoly(3, 1, {(0, 1, 0): 1, (0, 0, 1): 1}))
+    assert pair._autoreduction.generators(1) == [(1, {(1, 0, 0): 1, (0, 0, 1): -1}), (1, {(0, 1, 0): 1, (0, 0, 1): 1})]
     # over Q(i): i*(z1 + i*z2) is a multiple, and z1*(z1 + i*z2) reduces to zero
     i = GaussianRational(0, 1)
     gaussian = GradedIdeal(2, (HomogPoly(2, 1, {(1, 0): one, (0, 1): i}), HomogPoly(2, 1, {(1, 0): i, (0, 1): -one}),
                                HomogPoly(2, 2, {(2, 0): one, (1, 1): i})))
-    assert gaussian._autoreduction.ideal(2).generators == (HomogPoly(2, 1, {(1, 0): (1, 0), (0, 1): (0, 1)}),)
+    assert gaussian._autoreduction.generators(2) == [(1, {(1, 0): (1, 0), (0, 1): (0, 1)})]
 
 
 @pytest.mark.parametrize("mode", ["exact", "modular-checked"])
@@ -264,13 +263,12 @@ def test_modular_checked_catches_a_dropped_reduced_generator(capsys, monkeypatch
     argv = ["hilbert", str(path), "--d-max", "3", "--mode", "modular-checked"]
     assert main(argv) == 0
     capsys.readouterr()
-    true_ideal = poly._Autoreduction.ideal
+    true_generators = poly._Autoreduction.generators
 
     def drop_last(self, d):
-        reduced = true_ideal(self, d)
-        return GradedIdeal(reduced.n_vars, reduced.generators[:-1])
+        return true_generators(self, d)[:-1]
 
-    monkeypatch.setattr(poly._Autoreduction, "ideal", drop_last)
+    monkeypatch.setattr(poly._Autoreduction, "generators", drop_last)
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -343,3 +341,26 @@ def test_a_second_pass_on_one_ideal_gives_the_same_values(ideal):
     first = verify_macaulay(ideal, 6, mode="modular-checked")
     assert verify_macaulay(ideal, 6) == first
     assert hilbert_records(ideal, 6) == hilbert_records(fresh, 6)
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular-checked"])
+def test_no_polynomial_is_built_past_parsing(capsys, monkeypatch, tmp_path, mode):
+    """(z1 + z2, 2z1 + 2z2, z1^2 + z1 z2, z2^2 + z1 z3): the four parsed
+    generators are the only ``HomogPoly`` objects a Hilbert table builds;
+    the reduced generators z1 + z2 and z2^2 - z2 z3 stay in the matrix
+    path's format."""
+    terms = [[("1", [1, 0, 0]), ("1", [0, 1, 0])], [("2", [1, 0, 0]), ("2", [0, 1, 0])],
+             [("1", [2, 0, 0]), ("1", [1, 1, 0])], [("1", [0, 2, 0]), ("1", [1, 0, 1])]]
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps({"n_vars": 3, "generators": [[{"coeff": c, "exponents": e} for c, e in g] for g in terms]}))
+    built = []
+    true_init = HomogPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        true_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HomogPoly, "__init__", counted)
+    assert main(["--format", "structured", "hilbert", str(path), "--d-max", "6", "--mode", mode]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["h_ideal"] == [0, 1, 4, 8, 13, 19, 26]
+    assert len(built) == 4

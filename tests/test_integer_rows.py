@@ -104,7 +104,7 @@ def test_rows_are_the_primitive_multiples_in_order(ideal, d):
     """Rows of a rational ideal hold ints, those of an ideal with a non-real
     coefficient ``(re, im)`` int pairs; ``typed`` tells an int from an equal
     Fraction, and a pair from a Gaussian rational."""
-    kept, skipped = poly._graded_piece_rows(ideal, d)
+    kept, skipped = poly._graded_piece_rows(ideal.n_vars, ideal._autoreduction.given, d)
     want_kept, want_skipped = expected_rows(ideal, d)
     assert typed(kept) == typed(want_kept)
     assert typed(skipped) == typed(want_skipped)

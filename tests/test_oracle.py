@@ -2,6 +2,7 @@
 
 import pytest
 
+from macaulay import oracle
 from macaulay.binom import macaulay_rep
 from macaulay.hermitian import (
     biform_from_squares,
@@ -80,6 +81,29 @@ def test_lex_growth_report_two_variables_all_tight():
     assert report["total"] == 3
     assert report["tight"] == 3
     assert all(case["h_d"] == case["k"] for case in report["cases"])
+
+
+def test_lex_growth_report_builds_one_graded_piece_per_case(monkeypatch):
+    """H_I(d) = k is not measured: one variable is refused before any
+    elimination, and each case builds just its piece at d + 1.  The value
+    the report states is still the measured one."""
+    calls = []
+    true_dim = oracle.graded_piece_dim
+
+    def counted(ideal, d, mode="exact"):
+        calls.append(d)
+        return true_dim(ideal, d, mode=mode)
+
+    monkeypatch.setattr(oracle, "graded_piece_dim", counted)
+    with pytest.raises(ValueError):
+        lex_growth_report(1, 3)
+    assert calls == []
+    lex_growth_report(3, 2)
+    assert calls == [3] * 6
+    for n in (2, 3):
+        for d in (1, 2, 3):
+            for case in lex_growth_report(n, d)["cases"]:
+                assert case["h_d"] == true_dim(lex_segment_ideal(n, d, case["k"]), d)
 
 
 def test_corpus_determinism_and_size():
