@@ -68,20 +68,22 @@ def _verdict(ok: bool) -> str:
 
 def cmd_macrep(a: int, n: int) -> Report:
     rep = binom.macaulay_rep(a, n)
+    value = binom.rep_value(rep)
     return Report(
         "macrep",
         inputs={"A": a, "n": n},
-        outputs={"terms": [list(t) for t in rep.terms], "value": binom.rep_value(rep)},
-        verdicts={"round_trip": _verdict(binom.rep_value(rep) == a)},
+        outputs={"terms": [list(t) for t in rep.terms], "value": value},
+        verdicts={"round_trip": _verdict(value == a)},
     )
 
 
 def cmd_shift(a: int, n: int, s: int, t: int) -> Report:
+    value = binom.shift_apply(a, n, s, t)
     return Report(
         "shift",
         inputs={"A": a, "n": n, "s": s, "t": t},
-        outputs={"value": binom.shift_apply(a, n, s, t)},
-        verdicts={"zero_convention": _verdict(a != 0 or binom.shift_apply(a, n, s, t) == 0)},
+        outputs={"value": value},
+        verdicts={"zero_convention": _verdict(a != 0 or value == 0)},
     )
 
 

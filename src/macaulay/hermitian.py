@@ -366,20 +366,21 @@ def biform_rank(form: HermitianBiform) -> int:
 def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):
     """Fraction-free Hermitian congruence elimination of W = re + i*im over
     the Gaussian integers (``im`` None for a real W); yields
-    ``(delta, keep, k, x, y, g)`` once per step.
+    ``(delta, rest, x, y, g)`` once per step.
 
-    Each step takes a direction u and sets delta = u^H W u and w = W u:
-    u = e_k at the nonzero diagonal entry of smallest |d| (the first index
-    on ties) or, if the diagonal is zero, u = e_i + conj(a) e_j for the
-    first off-diagonal a = W[i][j] != 0, so that delta = 2|a|^2 > 0.  It
-    replaces W by |delta| W - sgn(delta) w w^H and divides that by its
-    positive content g.  Zero rows are dropped before each step: ``keep``
-    lists the positions, among the rows the previous step left, of the
-    rows this step works on.  The step yields delta, w = x + iy (``y``
-    None for a real W) on those rows, and g.  An e_k step then drops row
-    and column k, which it makes zero; a zero-diagonal step yields
-    k = len(keep) and drops none.  Only ``decompose`` maps positions back
-    to the input's rows, so only it keeps that index.
+    Each step works on the live rows of W, those with a nonzero entry,
+    and the run ends when none is left.  It takes a direction u and sets
+    delta = u^H W u and w = W u: u = e_k at the nonzero diagonal entry of
+    smallest |d| (the first index on ties) or, if the diagonal is zero,
+    u = e_i + conj(a) e_j for the first off-diagonal a = W[i][j] != 0, so
+    that delta = 2|a|^2 > 0.  It replaces W by |delta| W - sgn(delta) w w^H
+    on ``rest``, the live rows but k (all of them after a zero-diagonal
+    step), and divides that by its positive content g.  So a zero row
+    leaves in the step that finds it, as does the row k an e_k step makes
+    zero.  The step yields delta, w = x + iy (``y`` None for a real W) over
+    the rows of its W, ``rest`` as positions among those rows, and g.
+    Only ``decompose`` maps positions back to the input's rows, so only it
+    keeps that index.
 
     Why the counts are exact: W = w w^H / delta + S with S u = 0, and in
     a basis holding u (u replaces e_i by a unit triangular change) this is
@@ -402,27 +403,23 @@ def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):
     of them.
     """
     while True:
-        keep = [t for t in range(len(re)) if any(re[t]) or (im and any(im[t]))]
-        if len(keep) < len(re):
-            re = [[re[r][s] for s in keep] for r in keep]
-            im = im and [[im[r][s] for s in keep] for r in keep]
-        if not re:
+        live = [t for t in range(len(re)) if any(re[t]) or (im and any(im[t]))]
+        if not live:
             return
-        m = len(re)
-        k = min((t for t in range(m) if re[t][t]), key=lambda t: abs(re[t][t]), default=None)
+        k = min((t for t in live if re[t][t]), key=lambda t: abs(re[t][t]), default=None)
         if k is not None:
             delta, x, y = re[k][k], re[k], im and [-v for v in im[k]]
         else:
-            i, j = next((r, s) for r in range(m) for s in range(r + 1, m) if re[r][s] or (im and im[r][s]))
+            i = live[0]  # with a zero diagonal, row i's first nonzero entry lies past i
+            j = next(s for s in live if re[i][s] or (im and im[i][s]))
             ar, ai = re[i][j], im[i][j] if im else 0
             delta = 2 * (ar * ar + ai * ai)
             x = [ri + ar * rj for ri, rj in zip(re[i], re[j])]
             y = im and [-ii - ar * ij - ai * rj for ii, ij, rj in zip(im[i], im[j], re[j])]
             if im:
                 x = [v - ai * ij for v, ij in zip(x, im[j])]
-            k = m  # the zero-diagonal step drops no row
         scale = abs(delta)
-        rest = [t for t in range(m) if t != k]
+        rest = [t for t in live if t != k]
         sx = [-v for v in x] if delta < 0 else x
         sy = y and ([-v for v in y] if delta < 0 else y)
         new_re, new_im = [], []
@@ -440,7 +437,7 @@ def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):
         if g > 1:
             new_re = [[v // g for v in row] for row in new_re]
             new_im = [[v // g for v in row] for row in new_im]
-        yield delta, keep, k, x, y, g
+        yield delta, rest, x, y, g
         re, im = new_re, new_im or None
 
 
@@ -463,22 +460,22 @@ def decompose(form: HermitianBiform) -> list[SquareTerm]:
 
     Each step (delta, w) of the congruence kernel (:func:`_congruence_steps`)
     on the scaled matrix gives the square weight delta / lam with vector
-    w / delta, where lam is the running scale of the kernel's matrix over
-    the exact Schur complement of M: it starts at the lcm of the
-    denominators and each step multiplies it by |delta| / g.  There are
-    p + q terms with p positive and q negative weights.  When a weight's
-    absolute value is a perfect rational square it is folded into the
-    polynomial, leaving weight +-1 (see :class:`SquareTerm` for why unit
-    weights are not always reachable).  Recomposition with
-    :func:`recompose_squares` reproduces the matrix entry for entry.
+    w / delta, read on the input rows that the step's positions stand for;
+    the step's ``rest`` then picks the positions that go on.  Here lam is
+    the running scale of the kernel's matrix over the exact Schur
+    complement of M: it starts at the lcm of the denominators and each step
+    multiplies it by |delta| / g.  There are p + q terms with p positive
+    and q negative weights.  When a weight's absolute value is a perfect
+    rational square it is folded into the polynomial, leaving weight +-1
+    (see :class:`SquareTerm` for why unit weights are not always
+    reachable).  Recomposition with :func:`recompose_squares` reproduces
+    the matrix entry for entry.
     """
     basis = form.basis
     lam = Fraction(form.den)
     out = []
     index = list(range(form.dim))  # the input row of each position
-    for delta, keep, k, x, y, g in _congruence_steps(form.re, form.im):
-        if len(keep) < len(index):
-            index = [index[t] for t in keep]
+    for delta, rest, x, y, g in _congruence_steps(form.re, form.im):
         weight = delta / lam
         lam = lam * abs(delta) / g
         root = _perfect_square_root(abs(weight))
@@ -492,7 +489,7 @@ def decompose(form: HermitianBiform) -> list[SquareTerm]:
             if xr or yr
         }
         out.append(SquareTerm(weight, HomogPoly(form.n_vars, form.half_degree, terms)))
-        del index[k:k + 1]
+        index = [index[t] for t in rest]
     return out
 
 
@@ -709,7 +706,11 @@ def verify_ideal_containment(
     Then, in degree d + l, the pieces generated by m_minus and by h must
     both sit inside the piece generated by m_plus (so in particular the
     ideals generated by all m's and by m_plus agree there).  Dimensions
-    are compared exactly via graded pieces.
+    are compared exactly via graded pieces, one test per containment: the
+    piece generated by m_plus with m_minus (or h) contains m_plus's piece,
+    so the two are equal, with m_minus's (or h's) piece inside m_plus's,
+    just when their dimensions agree.  The dimension of m_minus's own
+    piece would decide nothing more.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -727,10 +728,7 @@ def verify_ideal_containment(
         return graded_piece_dim(GradedIdeal(n_vars, tuple(g for g in gens if not g.is_zero())), d + l)
 
     dim_plus = dim_of(m_plus)
-    dim_minus = dim_of(m_minus)
-    dim_union_minus = dim_of(list(m_plus) + list(m_minus))
-    dim_union_h = dim_of(list(m_plus) + list(h))
-    return dim_minus <= dim_plus and dim_union_minus == dim_plus and dim_union_h == dim_plus
+    return dim_of(list(m_plus) + list(m_minus)) == dim_plus and dim_of(list(m_plus) + list(h)) == dim_plus
 
 
 # ---------------------------------------------------------------------------

@@ -531,7 +531,7 @@ def test_verify_ideal_containment_positive_only():
     assert verify_ideal_containment([z1, z2], [], words, 1)
 
 
-def test_verify_ideal_containment_mixed_signs():
+def test_verify_ideal_containment_mixed_signs(monkeypatch):
     half = Fraction(1, 2)
     c = GaussianRational(half, half)  # |c|^2 == 1/2
     sq1 = monomial_poly((2, 0))
@@ -547,7 +547,11 @@ def test_verify_ideal_containment_mixed_signs():
         monomial_poly((0, 3)),
         c * monomial_poly((0, 3)),
     ]
+    calls = []
+    monkeypatch.setattr(hermitian, "graded_piece_dim", lambda *args: calls.append(args) or graded_piece_dim(*args))
     assert verify_ideal_containment(m_plus, m_minus, h, 1)
+    # one piece for m_plus and one per containment: m_minus's own piece adds nothing
+    assert len(calls) == 3
 
 
 def test_modular_mode_agrees_with_exact_on_gaussian_ideals():

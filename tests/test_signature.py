@@ -135,6 +135,25 @@ def test_signature_of_the_zero_matrix():
         assert decompose(zero_biform(2, d)) == []
 
 
+def test_decompose_maps_positions_past_zero_rows():
+    """Zero rows leave the kernel's matrix as they appear, so its positions
+    shift; each square must still land on the input rows it came from."""
+    z1, z2, z3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    # |z1 + z2|^2 + 2|z3|^2: row z2 vanishes at the first step, row z3 lives on
+    form = biform_from_terms(3, 1, [(a, b, 1) for a in (z1, z2) for b in (z1, z2)] + [(z3, z3, 2)])
+    assert [(t.weight, t.poly.terms) for t in decompose(form)] == [
+        (1, {z1: GaussianRational(1), z2: GaussianRational(1)}),
+        (2, {z3: GaussianRational(1)}),
+    ]
+    # |z2|^2 - |z4|^2 in 4 variables: zero rows stand first and in the middle
+    z2, z4 = (0, 1, 0, 0), (0, 0, 0, 1)
+    form = biform_from_terms(4, 1, [(z2, z2, 1), (z4, z4, -1)])
+    assert [(t.weight, t.poly.terms) for t in decompose(form)] == [
+        (1, {z2: GaussianRational(1)}),
+        (-1, {z4: GaussianRational(1)}),
+    ]
+
+
 def random_zero_diagonal(dim, seed):
     """A symmetric integer matrix with zero diagonal, so that every first
     step is the 2x2 congruence."""
