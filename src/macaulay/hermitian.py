@@ -5,9 +5,11 @@ zbar, is stored as the Hermitian matrix of its coefficients in the fixed
 degree-d monomial basis: ``matrix[i][j]`` is the coefficient of
 ``z^basis[i] * conj(z)^basis[j]``.  The matrix is held once, as integers:
 (re + i*im) / den with int matrices ``re`` and ``im`` and the least
-positive common denominator ``den``.  The rank comes from ``exact_rank``
-on those integer parts (a non-real matrix through its fraction-free row
-elimination over the Gaussian integers).  The signature and the square
+positive common denominator ``den``.  The rank comes from row
+elimination on those integer parts: ``exact_rank`` for a real matrix,
+and for a non-real one a rank modulo a prime where i has a square root,
+which proves a full rank, else ``exact_rank``'s fraction-free elimination
+over the Gaussian integers.  The signature and the square
 decomposition come from one fraction-free congruence kernel over the
 Gaussian integers on ``re`` and ``im``; the rank is kept on the other
 kernel so that rank == p + q checks one against the other, as
@@ -25,6 +27,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .binom import shift_apply
 from .poly import (
+    RANK_PRIMES,
     GradedIdeal,
     HomogPoly,
     Monomial,
@@ -39,6 +42,7 @@ from .poly import (
     exact_rank,
     graded_piece_dim,
     monomials_of_degree,
+    rank_mod_prime,
 )
 
 
@@ -348,19 +352,21 @@ def biform_from_squares(
 
 
 def biform_rank(form: HermitianBiform) -> int:
-    """Exact rank of the coefficient matrix, by ``exact_rank`` over Q(i) on
-    the integer parts (den times the matrix has the same rank): row
-    elimination over the Gaussian integers for a non-real form, over the
-    integers for a real one.  It shares no code with the congruence kernel
-    of ``biform_signature``, so rank == p + q checks the two.  The rows
-    hold the parts as ints, or as ``(re, im)`` int pairs for a non-real
-    form, which ``exact_rank`` takes as they are."""
+    """Exact rank of the coefficient matrix, from its integer parts (den
+    times the matrix has the same rank).  A real form's rows of ints go to
+    ``exact_rank``, row elimination over the integers.  A non-real form's
+    rows of ``(re, im)`` int pairs are first ranked modulo
+    ``RANK_PRIMES[0]`` by ``rank_mod_prime``: since rank_p <= rank <= rows,
+    a modular rank that reaches the row count proves the rank.  Otherwise
+    the rank comes from ``exact_rank``'s fraction-free elimination over the
+    Gaussian integers.  Neither path shares code with the congruence
+    kernel of ``biform_signature``, so rank == p + q checks the two."""
     if form.im is None:
         return exact_rank([{j: a for j, a in enumerate(ra) if a} for ra in form.re])
-    return exact_rank([
-        {j: (a, b) for j, (a, b) in enumerate(zip(ra, ia)) if a or b}
-        for ra, ia in zip(form.re, form.im)
-    ])
+    rows = [{j: (a, b) for j, (a, b) in enumerate(zip(ra, ia)) if a or b} for ra, ia in zip(form.re, form.im)]
+    if rank_mod_prime(rows, RANK_PRIMES[0]) == len(rows):
+        return len(rows)
+    return exact_rank(rows)
 
 
 def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):

@@ -480,52 +480,79 @@ def exact_rank(rows: Iterable[dict[int, object]]) -> int:
     return _gaussian_rank(rows) if gaussian else _echelon_rank(rows)
 
 
+@lru_cache(maxsize=None)
+def _sqrt_minus_one(p: int) -> int:
+    """A square root of -1 modulo the prime p: c^((p-1)/4) for the least c
+    with c^((p-1)/2) = -1, that is the least quadratic non-residue by
+    Euler's criterion.  It exists iff p = 1 mod 4; any other p raises
+    ValueError."""
+    if p % 4 == 1:
+        for c in range(2, p):
+            if pow(c, (p - 1) // 2, p) == p - 1:
+                return pow(c, (p - 1) // 4, p)
+    raise ValueError(f"-1 has no square root modulo {p}, which is not a prime = 1 mod 4")
+
+
 def rank_mod_prime(rows: Iterable[dict[int, object]], p: int) -> int:
     """Rank over GF(p) of the integer or Gaussian-integer rows that
     ``exact_rank`` takes, which are left as they were.
 
-    A modular rank never exceeds the rational rank, and equals it unless p
-    divides the wrong minors.  Gaussian rows a + ib are eliminated through
-    their real embedding, the two rows [a, -b] and [b, a] (column c of the
-    two blocks interleaved as 2c and 2c + 1), whose rank is twice the rank
-    over Q(i).  The embedding serves every prime, while Z[i] modulo p is a
-    field only when p = 3 mod 4, and the primes of ``RANK_PRIMES`` are 3, 1
-    and 1 mod 4.  For Gaussian rows the result is
-    ceil(rank_p(embedding) / 2), which is still a lower bound.
+    The rows' images modulo p, with the zero images left out, go through
+    ``_echelon_rank``'s sweep: bucketed by leading column, the columns
+    swept once in ascending order, the shortest row of a bucket its pivot
+    row.  Each other row of the bucket becomes row - (f/a)*prow, where a
+    and f are the pivot entry and the row's entry, and an entry that
+    reaches 0 leaves the row.  The sweep is written out here rather than
+    shared, so that the integer kernel's row step takes no branch.
+
+    An int maps to its residue.  A Gaussian integer a + ib maps to
+    a + b*iota, where iota = ``_sqrt_minus_one(p)`` squares to -1 modulo p,
+    so the Gaussian rows need p = 1 mod 4 (the primes of ``RANK_PRIMES``
+    are) and raise ValueError at any other prime.  Both maps are ring
+    homomorphisms onto GF(p), so each minor of the images is the image of
+    the same minor: the modular rank never exceeds the rank over Q or
+    Q(i), and equals it unless p divides every maximal nonzero minor.
     """
     rows = [row for row in rows if row]
-    gaussian = rows and type(next(iter(rows[0].values()))) is tuple
-    if gaussian:
-        embedded = []
-        for row in rows:
-            embedded.append({k: v for c, (a, b) in row.items() for k, v in ((2 * c, a), (2 * c + 1, -b))})
-            embedded.append({k: v for c, (a, b) in row.items() for k, v in ((2 * c, b), (2 * c + 1, a))})
-        rows = embedded
-    rank = 0
-    pivots: dict[int, dict[int, int]] = {}
+    if rows and type(next(iter(rows[0].values()))) is tuple:
+        iota = _sqrt_minus_one(p)
+        rows = [{c: x for c, (a, b) in row.items() if (x := (a + b * iota) % p)} for row in rows]
+    else:
+        rows = [{c: x for c, v in row.items() if (x := v % p)} for row in rows]
+    rows = [row for row in rows if row]
+    buckets: dict[int, list[dict[int, int]]] = {}
     for row in rows:
-        row = {c: v % p for c, v in row.items() if v % p}
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = pow(row[lead], -1, p)
-                pivots[lead] = {c: (v * inv) % p for c, v in row.items()}
-                rank += 1
-                break
-            f = row[lead]
-            for c, v in piv.items():
-                nv = (row.get(c, 0) - f * v) % p
-                if nv:
-                    row[c] = nv
+        buckets.setdefault(min(row), []).append(row)
+    rank = 0
+    for pcol in sorted(set().union(*rows)):
+        bucket = buckets.pop(pcol, None)
+        if bucket is None:
+            continue
+        rank += 1
+        if len(bucket) == 1:
+            continue
+        prow = min(bucket, key=len)
+        scale = p - pow(prow.pop(pcol), -1, p)
+        tail = [(c, v * scale % p) for c, v in prow.items()]  # -prow / a, so row + f*tail cancels f
+        for row in bucket:
+            if row is prow:
+                continue
+            f, get = row.pop(pcol), row.get
+            for c, v in tail:
+                x = (get(c, 0) + f * v) % p
+                if x:
+                    row[c] = x
                 else:
-                    row.pop(c, None)
-    return (rank + 1) // 2 if gaussian else rank
+                    del row[c]  # f*v is a nonzero residue, so row held c
+            if row:
+                buckets.setdefault(min(row), []).append(row)
+    return rank
 
 
-# The primes of the modular-checked mode: distinct, >= 2**31, fixed so that
-# every run checks against the same eliminations.
-RANK_PRIMES = (2291050459, 4115409913, 3431386421)
+# The primes of the modular-checked mode and of ``biform_rank``'s certificate:
+# distinct, >= 2**31 and = 1 mod 4, so that i has a square root modulo each,
+# and fixed so that every run checks against the same eliminations.
+RANK_PRIMES = (2291050477, 4115409913, 3431386421)
 
 
 # ---------------------------------------------------------------------------

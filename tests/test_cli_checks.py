@@ -10,8 +10,8 @@ import pytest
 
 from macaulay import binom, hermitian, oracle, poly
 from macaulay.cli import main
-from macaulay.hermitian import GaussianRational, biform_from_terms, format_biform, zero_biform
-from macaulay.poly import RANK_PRIMES, GradedIdeal, format_ideal, graded_piece_dim, variable
+from macaulay.hermitian import GaussianRational, biform_from_squares, biform_from_terms, format_biform, zero_biform
+from macaulay.poly import RANK_PRIMES, GradedIdeal, HomogPoly, format_ideal, graded_piece_dim, variable
 
 Z1 = GradedIdeal(2, (variable(0, 2),))
 
@@ -53,17 +53,34 @@ def imaginary_form_file(tmp_path):
     return str(path)
 
 
-def test_internal_fault_exits_3(capsys, monkeypatch, imaginary_form_file):
+@pytest.fixture
+def rank_one_form_file(tmp_path):
+    """|z1 - i*z2|^2: rank 1 of 2 rows, so no modular rank reaches the row
+    count and the rank comes from the Bareiss kernel."""
+    i = GaussianRational(0, 1)
+    path = tmp_path / "rank-one.json"
+    square = HomogPoly(2, 1, {(1, 0): GaussianRational(1), (0, 1): -i})
+    path.write_text(format_biform(biform_from_squares(2, 1, [square])))
+    return str(path)
+
+
+def test_internal_fault_exits_3(capsys, monkeypatch, imaginary_form_file, rank_one_form_file):
     assert main(["--format", "structured", "hermitian", imaginary_form_file]) == 0
     outputs = json.loads(capsys.readouterr().out)["outputs"]
     assert (outputs["rank"], outputs["product_rank"], outputs["norm_power_rank"]) == (2, 2, 2)
-    # a Gaussian rank off by one no longer equals p + q from the congruence kernel
-    true_rank = poly._gaussian_rank
-    monkeypatch.setattr(poly, "_gaussian_rank", lambda rows: true_rank(rows) + 1)
-    assert main(["hermitian", imaginary_form_file]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "internal error: rank 3 of the form differs from p + q = 2\n"
+    assert main(["--format", "structured", "hermitian", rank_one_form_file]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["rank"] == 1
+    # a rank off by one no longer equals p + q from the congruence kernel: the
+    # Bareiss kernel's, or a modular rank one high, which certifies a full rank
+    true_rank, true_rank_mod_prime = poly._gaussian_rank, hermitian.rank_mod_prime
+    for module, name, wrong in ((poly, "_gaussian_rank", lambda rows: true_rank(rows) + 1),
+                                (hermitian, "rank_mod_prime", lambda rows, p: true_rank_mod_prime(rows, p) + 1)):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, wrong)
+            assert main(["hermitian", rank_one_form_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: rank 2 of the form differs from p + q = 1\n"
 
 
 def test_wrong_product_rank_exits_3_where_the_power_is_the_product(capsys, monkeypatch, imaginary_form_file):

@@ -1,5 +1,7 @@
 """Tests for Hermitian biforms: rank, signature, norm products, and bounds."""
 
+import contextlib
+import io
 import json
 import math
 import random
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from macaulay import hermitian
 from macaulay.binom import shift_apply
+from macaulay.cli import main
 from macaulay.hermitian import (
     GaussianRational,
     HermitianBiform,
@@ -36,7 +39,16 @@ from macaulay.hermitian import (
     zero_biform,
 )
 from macaulay.oracle import random_hermitian_instance, sos_witness
-from macaulay.poly import GradedIdeal, HomogPoly, graded_piece_dim, monomial_poly, monomials_of_degree, variable
+from macaulay.poly import (
+    RANK_PRIMES,
+    GradedIdeal,
+    HomogPoly,
+    graded_piece_dim,
+    monomial_poly,
+    monomials_of_degree,
+    rank_mod_prime,
+    variable,
+)
 from references import biform_terms, congruence_transform, divide_norm_power, random_invertible_matrix
 
 i = GaussianRational(0, 1)
@@ -196,6 +208,57 @@ def test_biform_rank_worked_values():
     product = multiply_signed_norm(biform_from_terms(2, 1, [((1, 0), (1, 0), 1)]), (2, 0))
     assert [row[k] for k, row in enumerate(product.matrix)] == [1, 1, 0]
     assert biform_rank(product) == 2
+
+
+def unlucky_form() -> HermitianBiform:
+    """(p+2)|z1|^2 + (1+i) z1 conj(z2) + (1-i) z2 conj(z1) + |z2|^2 with p =
+    RANK_PRIMES[0]: determinant p, so rank 2 over Q(i) and rank 1 modulo p."""
+    p = RANK_PRIMES[0]
+    return biform_from_terms(2, 1, [((1, 0), (1, 0), p + 2), ((1, 0), (0, 1), GaussianRational(1, 1)),
+                                    ((0, 1), (1, 0), GaussianRational(1, -1)), ((0, 1), (0, 1), 1)])
+
+
+def rank_one_form() -> HermitianBiform:
+    """|z1 - i z2|^2, whose matrix is [[1, i], [-i, 1]]."""
+    return biform_from_squares(2, 1, [HomogPoly(2, 1, {(1, 0): GaussianRational(1), (0, 1): -i})])
+
+
+def biform_rows(form):
+    return [{j: (a, b) for j, (a, b) in enumerate(zip(ra, ia)) if a or b} for ra, ia in zip(form.re, form.im)]
+
+
+def test_a_full_modular_rank_certifies_the_rank(monkeypatch):
+    exact_calls = []
+    true_exact_rank = hermitian.exact_rank
+    monkeypatch.setattr(hermitian, "exact_rank", lambda rows: exact_calls.append(rows) or true_exact_rank(rows))
+    imaginary = biform_from_terms(2, 1, [((1, 0), (0, 1), GaussianRational(0, 1)),
+                                         ((0, 1), (1, 0), GaussianRational(0, -1))])
+    assert biform_rank(imaginary) == 2
+    assert exact_calls == []
+    # a rank-deficient form never reaches the row count modulo p: Bareiss answers
+    form = rank_one_form()
+    assert (form.den, form.re, form.im) == (1, ((1, 0), (0, 1)), ((0, 1), (-1, 0)))
+    assert rank_mod_prime(biform_rows(form), RANK_PRIMES[0]) == 1
+    assert biform_rank(form) == 1
+    assert len(exact_calls) == 1
+
+
+def test_an_unlucky_prime_falls_back_to_bareiss(monkeypatch, tmp_path):
+    form = unlucky_form()
+    assert (form.den, form.re[0][0] * form.re[1][1] - form.re[0][1] ** 2 - form.im[0][1] ** 2) == (1, RANK_PRIMES[0])
+    assert rank_mod_prime(biform_rows(form), RANK_PRIMES[0]) == 1
+    exact_calls = []
+    true_exact_rank = hermitian.exact_rank
+    monkeypatch.setattr(hermitian, "exact_rank", lambda rows: exact_calls.append(rows) or true_exact_rank(rows))
+    assert biform_rank(form) == 2
+    assert len(exact_calls) == 1
+    path = tmp_path / "unlucky.json"
+    path.write_text(format_biform(form))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--format", "structured", "hermitian", str(path)]) == 0
+    outputs = json.loads(out.getvalue())["outputs"]
+    assert (outputs["rank"], outputs["signature"]) == (2, {"p": 2, "q": 0})
 
 
 def test_biform_signature_worked_values():

@@ -150,7 +150,7 @@ def test_exact_rank_matches_gauss_jordan_oracle(data):
     assert oracle_rank(edited) == r
     rows = data.draw(sparse_rows(edited, gaussian))
     assert exact_rank(rows) == r
-    # a modular rank is a lower bound, also through the real embedding
+    # a modular rank is a lower bound, also through the map i -> iota
     assert rank_mod_prime(rows, RANK_PRIMES[r % 3]) <= r
     # int pairs: a real matrix's pairs are all (v, 0), and turning some of
     # its rows by i, a unit, puts real rows in a Gaussian matrix
@@ -250,3 +250,48 @@ def test_a_zero_entry_gives_the_true_rank_or_raises(data):
     except ArithmeticError:
         return
     assert rank == r
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def test_rank_primes_have_a_square_root_of_minus_one():
+    for p in RANK_PRIMES:
+        assert p % 4 == 1 and is_prime(p)
+        assert pow(poly._sqrt_minus_one(p), 2, p) == p - 1
+    # the first prime = 1 mod 4 after 2291050459, which is 3 mod 4
+    assert RANK_PRIMES[0] == 2291050477
+    assert [q for q in range(2291050459, RANK_PRIMES[0]) if q % 4 == 1 and is_prime(q)] == []
+
+
+def test_gaussian_rows_need_a_prime_one_mod_four():
+    p = 2291050459
+    assert is_prime(p) and p % 4 == 3
+    with pytest.raises(ValueError, match="no square root"):
+        rank_mod_prime([{0: (1, 1)}, {1: (0, 2)}], p)
+    # int rows take any prime, and rows of (re, 0) pairs still need iota
+    assert rank_mod_prime([{0: 1, 1: 2}, {0: 2, 1: 4}, {2: 7}], p) == 2
+    assert rank_mod_prime([{0: 3, 1: 1}, {0: 1, 1: 3}], 2) == 1
+    for q in (2, 7, 2291050459, 9):
+        with pytest.raises(ValueError, match="no square root"):
+            poly._sqrt_minus_one(q)
+    with pytest.raises(ValueError, match="no square root"):
+        rank_mod_prime([{0: (1, 0)}], p)
+
+
+def test_rank_mod_prime_worked_values():
+    p = RANK_PRIMES[0]
+    iota = poly._sqrt_minus_one(p)
+    # [[1, i], [-i, 1]] has rank 1; its image under i -> 1 would have rank 2
+    rows = [{0: (1, 0), 1: (0, 1)}, {0: (0, -1), 1: (1, 0)}]
+    assert rank_mod_prime(rows, p) == exact_rank(rows) == 1
+    assert rank_mod_prime([{0: 1, 1: 1}, {0: -1, 1: 1}], p) == 2
+    assert rows == [{0: (1, 0), 1: (0, 1)}, {0: (0, -1), 1: (1, 0)}]  # left as they were
+    # entries whose images are 0 leave the rows, and a row of them leaves the matrix
+    for rows, rank in (([{0: (iota, -1)}, {1: (1, 0)}], 1), ([{0: (iota, -1), 1: (2, 3)}, {1: (4, 6)}], 1),
+                       ([{0: p, 2: 1}, {1: -p}, {0: 5, 1: 1}], 2), ([{0: 3 * p}], 0)):
+        assert rank_mod_prime(rows, p) == rank
+    # a row that is a multiple of p over Q vanishes modulo p, so the modular rank falls short
+    assert exact_rank([{0: p, 1: 2 * p}, {1: 1}]) == 2
+    assert rank_mod_prime([{0: p, 1: 2 * p}, {1: 1}], p) == 1

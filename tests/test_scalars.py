@@ -6,6 +6,7 @@ routines read no scalar: they take the integers of the reader."""
 
 import json
 import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -61,7 +62,8 @@ def test_exact_rank_refuses_inexact_entries(monkeypatch):
     def unreachable(rows, *args):
         raise AssertionError("rows reached a rank routine")
 
-    for module, name in ((poly, "exact_rank"), (poly, "rank_mod_prime"), (hermitian, "exact_rank")):
+    for module, name in ((poly, "exact_rank"), (poly, "rank_mod_prime"), (hermitian, "exact_rank"),
+                         (hermitian, "rank_mod_prime")):
         monkeypatch.setattr(module, name, unreachable)
     ideal = GradedIdeal(2, (HomogPoly(2, 1, {(1, 0): 1, (0, 1): 0.5}),))
     for mode in ("exact", "modular-checked"):
@@ -180,9 +182,12 @@ def test_rank_routines_see_only_integer_rows(monkeypatch, tmp_path, capsys):
     nonzero int or a nonzero pair of ints, one kind per matrix, on every
     path that computes a rank: ``verify`` and modular-checked ``hilbert`` on
     ideal files, graded pieces of a mixed real and Gaussian ideal in both
-    modes, ``verify_ideal_containment``, ``hermitian`` on a real and on a
-    non-real biform, and ``min-sos``."""
-    kinds = []
+    modes, ``verify_ideal_containment``, ``hermitian`` on a real, a
+    full-rank non-real and a rank-deficient non-real biform, and
+    ``min-sos``.  Calls are counted per routine: ``biform_rank`` ranks a
+    non-real matrix modulo a prime first, and ``exact_rank`` only when that
+    rank falls short of the row count."""
+    calls = []
 
     def checked(kernel):
         def run(rows, *args):
@@ -197,13 +202,14 @@ def test_rank_routines_see_only_integer_rows(monkeypatch, tmp_path, capsys):
                     else:
                         raise AssertionError(f"{v!r} reached {kernel.__name__}")
             assert len(seen) <= 1, f"{kernel.__name__} got a matrix of {sorted(seen)}"
-            kinds.extend(seen)
+            calls.extend((kernel.__name__, kind) for kind in seen)
             return kernel(rows, *args)
         return run
 
     monkeypatch.setattr(poly, "exact_rank", checked(poly.exact_rank))
     monkeypatch.setattr(poly, "rank_mod_prime", checked(poly.rank_mod_prime))
     monkeypatch.setattr(hermitian, "exact_rank", poly.exact_rank)
+    monkeypatch.setattr(hermitian, "rank_mod_prime", poly.rank_mod_prime)
 
     def cli(*argv):
         assert main(["--format", "structured", *argv]) == 0
@@ -216,25 +222,36 @@ def test_rank_routines_see_only_integer_rows(monkeypatch, tmp_path, capsys):
     ))))
     cli("verify", str(ideal), "--d-max", "4")
     cli("hilbert", str(ideal), "--d-max", "4", "--mode", "modular-checked")
-    assert set(kinds) == {"int"}
+    assert {kind for _, kind in calls} == {"int"}
+    assert {name for name, _ in calls} == {"exact_rank", "rank_mod_prime"}
 
     c = GaussianRational(Fraction(1, 2), 3)
     mixed = GradedIdeal(2, (HomogPoly(2, 1, {(1, 0): 2, (0, 1): c}), HomogPoly(2, 2, {(2, 0): 4, (0, 2): Fraction(1, 3)})))
+    before = len(calls)
     assert [graded_piece_dim(mixed, 2, mode) for mode in ("exact", "modular-checked")] == [3, 3]
+    assert ("rank_mod_prime", "pair") in calls[before:]
     sq1, sq2, cross = monomial_poly((2, 0)), monomial_poly((0, 2)), monomial_poly((1, 1))
     half = GaussianRational(Fraction(1, 2), Fraction(1, 2))
     h = [monomial_poly((3, 0)), half * monomial_poly((3, 0)), half * monomial_poly((2, 1)),
          half * monomial_poly((1, 2)), monomial_poly((0, 3)), half * monomial_poly((0, 3))]
+    before = len(calls)
     assert hermitian.verify_ideal_containment([sq1, half * sq1, sq2, half * sq2], [cross], h, 1)
-    assert "pair" in kinds
+    assert ("exact_rank", "pair") in calls[before:]
 
+    i = GaussianRational(0, 1)
     real = hermitian.biform_from_terms(2, 1, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), -1)])
     gaussian = hermitian.biform_from_terms(2, 1, [((1, 0), (1, 0), 1), ((1, 0), (0, 1), GaussianRational(1, 2)),
                                                   ((0, 1), (1, 0), GaussianRational(1, -2))])
-    for i, form in enumerate((real, gaussian)):
-        path = tmp_path / f"biform-{i}.json"
+    rank_one = hermitian.biform_from_squares(2, 1, [HomogPoly(2, 1, {(1, 0): GaussianRational(1), (0, 1): -i})])
+    # (form, product) ranks: (2, 3) for the full-rank non-real form and (1, 2) for |z1 - i z2|^2
+    for k, (form, expected) in enumerate((
+        (real, {("exact_rank", "int"): 2}),
+        (gaussian, {("rank_mod_prime", "pair"): 2}),
+        (rank_one, {("rank_mod_prime", "pair"): 2, ("exact_rank", "pair"): 2}),
+    )):
+        path = tmp_path / f"biform-{k}.json"
         path.write_text(hermitian.format_biform(form))
-        before = len(kinds)
+        before = len(calls)
         cli("hermitian", str(path))
-        assert kinds[before:] == ["pair" if form.im else "int"] * 2
+        assert Counter(calls[before:]) == expected
         cli("min-sos", str(path), "--l-max", "2")
