@@ -10,13 +10,19 @@ operator replaces each C(a_j, j) by C(a_j + t, j + s) and sums.  These two
 devices drive all the growth bounds in the rest of the package, so
 everything here is arbitrary-precision integer arithmetic with no rounding
 of any kind.
+
+The split-identity scans (``lemma-scan`` and ``bridge``) never build a
+representation by bisection: ``_shifted_walk`` steps through the
+representations of 0, 1, 2, ... in order, keeping a running shifted sum,
+and ``_split_failures`` walks each index once per shift for a whole grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from operator import add
+from typing import Iterable, Sequence
 
 
 def binom_coeff(a: int, b: int) -> int:
@@ -120,25 +126,21 @@ def scan_split_shift_identity(m_max: int, d_max: int, s_max: int) -> list[tuple[
         a_(m)|_0^s  +  b_(d)|_s^s  ==  C(m+d+s, d+s)
 
     over every split a + b = C(m+d, d), for every 1 <= m <= m_max,
-    1 <= d <= d_max, 1 <= s <= s_max.
+    1 <= d <= d_max, 1 <= s <= s_max, in one pass over the grid.
 
     Returns the list of failing (a, b, m, d, s) tuples, empty on success,
     ordered by m, then d, then s, then a.
     """
-    shifts = range(1, s_max + 1)
-    failures = []
-    for m in range(1, m_max + 1):
-        for d in range(1, d_max + 1):
-            failures += _split_failures(m, d, shifts)
-    return failures
+    return _split_failures(range(1, m_max + 1), range(1, d_max + 1), range(1, s_max + 1))
 
 
-def _macaulay_walk(n: int, count: int) -> list[tuple[tuple[int, int], ...]]:
-    """The n-th Macaulay representations of 0, 1, ..., count, in order.
+def _shifted_walk(n: int, count: int, s: int, t: int) -> list[int]:
+    """Shifted values of the n-th Macaulay representations of 0, 1, ..., count.
 
-    Entry a equals ``macaulay_rep(a, n).terms``.  Each representation is
-    built from the one before; with terms (a_n, n), ..., (a_delta, delta)
-    for a, the successor a + 1 is:
+    Entry a equals ``shift_apply(a, n, s, t)`` for s, t >= 0: the sum of
+    C(u+t, j+s) over the terms (u, j) of the representation of a.  Each
+    representation is built from the one before; with terms (a_n, n), ...,
+    (a_delta, delta) for a, the successor a + 1 is:
 
     * from 0 (no terms): ``[(n, n)]``, since C(n, n) = 1;
     * delta >= 2: append (delta-1, delta-1), which adds C(delta-1, delta-1)
@@ -154,71 +156,77 @@ def _macaulay_walk(n: int, count: int) -> list[tuple[tuple[int, int], ...]]:
     Each result is a valid representation of a + 1 (lower indices strictly
     decrease from n to some delta >= 1, upper indices strictly decrease,
     a_j >= j), and the n-th representation is unique, so it is the greedy
-    one ``macaulay_rep`` builds.  Every merge removes a term and every step
-    adds at most one, so the carries cost amortized O(1) per step, as in a
-    binary counter.
+    one ``macaulay_rep`` builds.  The term at position k has lower index
+    n - k, so only the upper indices are kept.  The walk keeps the running
+    sum of its terms' values: an appended term adds its value, a carry
+    subtracts the value of every term it pops.  Every merge removes a term
+    and every step adds one, so a step costs amortized O(1), as in a
+    binary counter, and no representation is read twice.  The walk to a
+    count c is the first c + 1 entries of any longer walk.
     """
-    terms: list[tuple[int, int]] = []
-    reps: list[tuple[tuple[int, int], ...]] = [()]
+    uppers: list[int] = []
+    values: list[int] = []
+    total = 0
+    sums = [0]
     for _ in range(count):
-        if not terms:
-            terms.append((n, n))
-        elif terms[-1][1] >= 2:
-            delta = terms[-1][1]
-            terms.append((delta - 1, delta - 1))
+        k = len(uppers)
+        if k < n:
+            u = n - k
         else:
-            u, j = terms.pop()
-            u += 1
-            while terms and terms[-1][0] == u:
-                terms.pop()
-                u, j = u + 1, j + 1
-            terms.append((u, j))
-        reps.append(tuple(terms))
-    return reps
+            u = uppers.pop() + 1
+            total -= values.pop()
+            while uppers and uppers[-1] == u:
+                uppers.pop()
+                total -= values.pop()
+                u += 1
+            k = len(uppers)
+        value = math.comb(u + t, n - k + s)
+        uppers.append(u)
+        values.append(value)
+        total += value
+        sums.append(total)
+    return sums
 
 
-class _TermValues(dict):
-    """C(u+t, j+s) for each term (u, j), as in ``shift_apply``, computed on first use."""
+def _split_failures(
+    ms: Sequence[int], ds: Sequence[int], shifts: Iterable[int]
+) -> list[tuple[int, int, int, int, int]]:
+    """Failing (a, b, m, d, s) splits of the split identity over a grid.
 
-    def __init__(self, s: int, t: int) -> None:
-        self.s, self.t = s, t
-
-    def __missing__(self, term: tuple[int, int]) -> int:
-        u, j = term
-        value = self[term] = math.comb(u + self.t, j + self.s)
-        return value
-
-
-def _split_failures(m: int, d: int, shifts: Iterable[int]) -> list[tuple[int, int, int, int, int]]:
-    """Failing (a, b, m, d, s) splits of the split identity, in s then a order.
-
-    For every s in ``shifts`` and every split a + b = C(m+d, d) it checks
-    the split identity a_(m)|_0^s + b_(d)|_s^s == C(m+d+s, d+s), that is
+    For every m in ``ms``, d in ``ds``, s in ``shifts`` and every split
+    a + b = C(m+d, d) it checks the split identity
+    a_(m)|_0^s + b_(d)|_s^s == C(m+d+s, d+s), that is
 
         sum C(u+s, j) over rep_m(a)  +  sum C(u+s, j+s) over rep_d(b)
-            ==  C(m+d+s, d+s).
+            ==  C(m+d+s, d+s),
 
-    The representations of 0..C(m+d, d) are walked once per index and
-    reused for every s; each distinct term's value is computed once per s.
-    Every term (u, j) has u >= j >= 1 and every s here is >= 1, so both
-    binomials have 0 <= lower index <= upper index and ``math.comb`` needs
-    none of ``binom_coeff``'s guards.
+    and returns the failures ordered by m, then d, then s, then a.
+
+    Each index is walked once per shift, to the longest count the grid
+    needs: the walk of 0..c is a prefix of the walk of 0..c' for c < c',
+    so the left walk of m runs to C(m + max(ds), max(ds)) and the right
+    walk of d to C(max(ms) + d, d).  One shift at a time keeps every
+    right walk and the current m's left walk.  A grid point whose splits
+    all sum to the target costs one pass at C speed; the others are read
+    split by split, which also raises ``IndexError`` on a walk that is too
+    short.  An empty grid has no failures.
     """
-    total = math.comb(m + d, d)
-    reps_m = _macaulay_walk(m, total)
-    reps_d = _macaulay_walk(d, total)
+    m_top, d_top = max(ms, default=0), max(ds, default=0)
     failures = []
     for s in shifts:
-        target = math.comb(m + d + s, d + s)
-        left_term = _TermValues(0, s).__getitem__
-        right_term = _TermValues(s, s).__getitem__
-        left = [sum(map(left_term, rep)) for rep in reps_m]
-        right = [sum(map(right_term, rep)) for rep in reps_d]
-        failures += [
-            (a, total - a, m, d, s)
-            for a, value in enumerate(left)
-            if value + right[total - a] != target
-        ]
+        rights = [(d, _shifted_walk(d, math.comb(m_top + d, d), s, s)) for d in ds]
+        for m in ms:
+            left = _shifted_walk(m, math.comb(m + d_top, d_top), 0, s)
+            for d, right in rights:
+                total = math.comb(m + d, d)
+                target = math.comb(m + d + s, d + s)
+                if list(map(add, left[:total + 1], right[total::-1])).count(target) <= total:
+                    failures += [
+                        (a, total - a, m, d, s)
+                        for a in range(total + 1)
+                        if left[a] + right[total - a] != target
+                    ]
+    failures.sort(key=lambda f: (f[2], f[3], f[4], f[0]))
     return failures
 
 

@@ -152,12 +152,9 @@ def cmd_verify(path: str, d_max: int, mode: str) -> Report:
 def cmd_bridge(n_max: int, d_max: int) -> Report:
     if n_max < 2 or d_max < 1:
         raise ValueError(f"need n_max >= 2 and d_max >= 1 to check any pair, got {n_max}, {d_max}")
-    failures = [
-        [n, d]
-        for n in range(2, n_max + 1)
-        for d in range(1, d_max + 1)
-        if not poly.bridge_identity_check(n, d)
-    ]
+    # the split identity at m = n - 1, s = 1, over the whole grid at once
+    failing = poly._split_failures(range(1, n_max), range(1, d_max + 1), (1,))
+    failures = [list(pair) for pair in dict.fromkeys((m + 1, d) for _, _, m, d, _ in failing)]
     return Report(
         "bridge",
         inputs={"n_max": n_max, "d_max": d_max},

@@ -383,7 +383,11 @@ def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):
     on ``rest``, the live rows but k (all of them after a zero-diagonal
     step), and divides that by its positive content g.  So a zero row
     leaves in the step that finds it, as does the row k an e_k step makes
-    zero.  The step yields delta, w = x + iy (``y`` None for a real W) over
+    zero.  When an e_k step's w vanishes off k (column k of W is zero but
+    for its diagonal), that matrix is |delta| times W on ``rest``, so the
+    step takes g = |delta| and goes on with W on ``rest`` as it stands,
+    with no multiply and no division: on a diagonal W every step is one.
+    The step yields delta, w = x + iy (``y`` None for a real W) over
     the rows of its W, ``rest`` as positions among those rows, and g.
     Only ``decompose`` maps positions back to the input's rows, so only it
     keeps that index.
@@ -402,7 +406,8 @@ def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):
     the bordered determinants det([U, e_r]^H W0 [U, e_s]).  The argument
     needs only Gaussian-integer directions, so it covers the zero-diagonal
     step too.  The kernel's W is a positive multiple of |D| S with content
-    1, its primitive part, so Hadamard's bound on those determinants
+    1, its primitive part, or after a step that vanishes off k the part of
+    that matrix on ``rest``, so Hadamard's bound on those determinants
     bounds it.  An e_k direction adds no length to U; a zero-diagonal
     direction has length about |a|, so each such step can add the bits of
     its a to every later bound, and no better bound is claimed for a run
@@ -426,6 +431,12 @@ def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):
                 x = [v - ai * ij for v, ij in zip(x, im[j])]
         scale = abs(delta)
         rest = [t for t in live if t != k]
+        if k is not None and x.count(0) == len(x) - 1 and not (im and any(im[k])):
+            # w = W e_k vanishes off k: S is W on rest, so at g = |delta| the new |delta| S / g is W on rest
+            yield delta, rest, x, y, scale
+            re = [[row[s] for s in rest] for row in map(re.__getitem__, rest)]
+            im = im and [[row[s] for s in rest] for row in map(im.__getitem__, rest)]
+            continue
         sx = [-v for v in x] if delta < 0 else x
         sy = y and ([-v for v in y] if delta < 0 else y)
         new_re, new_im = [], []

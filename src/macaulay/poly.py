@@ -846,11 +846,13 @@ def bridge_identity_check(n_vars: int, d: int) -> bool:
         A_(n-1)|_0^1  +  B_(d)|_1^1  ==  C(n+d, d+1).
 
     This is the split identity at m = n-1, s = 1 and is exactly what makes
-    the ideal-side and quotient-side growth bounds equivalent.
+    the ideal-side and quotient-side growth bounds equivalent: the 1 x 1
+    grid of ``_split_failures``.  The ``bridge`` subcommand takes its whole
+    grid in one ``_split_failures`` call instead.
     """
     if n_vars < 2 or d < 1:
         raise ValueError("need n_vars >= 2 and d >= 1")
-    return not _split_failures(n_vars - 1, d, (1,))
+    return not _split_failures((n_vars - 1,), (d,), (1,))
 
 
 # ---------------------------------------------------------------------------

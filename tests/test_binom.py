@@ -18,6 +18,7 @@ from macaulay.binom import (
     shift_difference_bound_holds,
     shift_monotone_in_value_holds,
 )
+from macaulay.cli import main
 
 
 def test_binom_coeff_values():
@@ -163,16 +164,29 @@ def test_scan_split_identity_small():
 
 
 def test_walk_matches_greedy_representations():
+    """Entry a of the walk is the shifted sum over macaulay_rep(a, n), as in shift_apply."""
     for n in range(1, 9):
-        assert binom._macaulay_walk(n, 4999) == [macaulay_rep(a, n).terms for a in range(5000)], n
+        for s in range(3):
+            for t in range(3):
+                assert binom._shifted_walk(n, 4999, s, t) == [shift_apply(a, n, s, t) for a in range(5000)], (n, s, t)
 
 
 def test_walk_carries_across_a_whole_representation():
-    # C(k, n) - 1 has n terms (k-1, n), ..., (k-n, 1); one more merges them all into (k, n)
+    # C(k, n) - 1 has n terms (k-1, n), ..., (k-n, 1); one more merges them all into (k, n),
+    # so the running sum must drop every popped term's shifted value
     for n, k in ((1, 4000), (2, 90), (5, 15), (8, 14)):
-        walk = binom._macaulay_walk(n, math.comb(k, n))
-        assert walk[-2] == tuple((k - i, n + 1 - i) for i in range(1, n + 1))
-        assert walk[-1] == ((k, n),)
+        for s, t in ((0, 1), (1, 1), (2, 2)):
+            walk = binom._shifted_walk(n, math.comb(k, n), s, t)
+            assert walk[-2] == sum(math.comb(k - i + t, n + 1 - i + s) for i in range(1, n + 1))
+            assert walk[-1] == math.comb(k + t, n + s)
+
+
+def test_a_walk_is_a_prefix_of_every_longer_walk():
+    for n in range(1, 7):
+        for s, t in ((0, 1), (2, 2), (1, 0)):
+            longest = binom._shifted_walk(n, 3000, s, t)
+            for count in (0, 1, n, n + 1, math.comb(n + 3, n), 2999):
+                assert binom._shifted_walk(n, count, s, t) == longest[:count + 1], (n, s, t, count)
 
 
 def reference_scan(m_max, d_max, s_max):
@@ -194,21 +208,70 @@ def test_scan_agrees_with_the_per_split_definition(m_max, d_max, s_max):
     assert scan_split_shift_identity(m_max, d_max, s_max) == reference_scan(m_max, d_max, s_max)
 
 
+def plant(monkeypatch, faults):
+    """Make the walk list, for each (n, s, t, a, b) in ``faults``, the shifted
+    value of the representation of b as entry a of the n-th walk."""
+    walk = binom._shifted_walk
+
+    def faulty_walk(n, count, s, t):
+        sums = walk(n, count, s, t)
+        for n_, s_, t_, a, b in faults:
+            if (n, s, t) == (n_, s_, t_) and a <= count:
+                sums[a] = shift_apply(b, n, s, t)
+        return sums
+
+    monkeypatch.setattr(binom, "_shifted_walk", faulty_walk)
+
+
 def test_scan_reports_a_planted_fault_in_order(monkeypatch):
-    walk = binom._macaulay_walk
-
-    def faulty_walk(n, count):
-        reps = walk(n, count)
-        if n == 2:
-            reps[2] = ((3, 2),)  # the representation of 3, listed for 2
-        return reps
-
-    monkeypatch.setattr(binom, "_macaulay_walk", faulty_walk)
+    # the representation of 3 listed for 2 at n = 2, on both sides and at both shifts
+    plant(monkeypatch, [(2, s_, t_, 2, 3) for s in (1, 2) for s_, t_ in ((0, s), (s, s))])
     assert scan_split_shift_identity(2, 2, 2) == [
         (1, 2, 1, 2, 1), (1, 2, 1, 2, 2),
         (2, 1, 2, 1, 1), (2, 1, 2, 1, 2),
         (2, 4, 2, 2, 1), (4, 2, 2, 2, 1), (2, 4, 2, 2, 2), (4, 2, 2, 2, 2),
     ]
+
+
+def test_a_fault_across_two_shifts_and_two_degrees_is_reported_in_order(monkeypatch):
+    """Right walks of d = 2 and d = 3 at s = 1 and s = 3 list a wrong value; the
+    failures are exactly the per-split definition's under the same fault."""
+    faults = [(2, 1, 1, 4, 5), (3, 1, 1, 2, 7), (2, 3, 3, 1, 2), (3, 3, 3, 6, 4)]
+    wrong = {(n, s, a): b for n, s, _, a, b in faults}
+
+    def right(b, d, s):
+        return shift_apply(wrong.get((d, s, b), b), d, s, s)
+
+    expected = [
+        (a, math.comb(m + d, d) - a, m, d, s)
+        for m in range(1, 4)
+        for d in range(1, 4)
+        for s in range(1, 4)
+        for a in range(math.comb(m + d, d) + 1)
+        if shift_apply(a, m, 0, s) + right(math.comb(m + d, d) - a, d, s) != math.comb(m + d + s, d + s)
+    ]
+    assert {(d, s) for _, _, _, d, s in expected} == {(2, 1), (3, 1), (2, 3), (3, 3)}
+    plant(monkeypatch, faults)
+    assert scan_split_shift_identity(3, 3, 3) == expected
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_walk_one_step_short_is_an_internal_fault(monkeypatch, capsys, side):
+    """A walk that stops before the split count must raise, not answer: exit 3."""
+    walk = binom._shifted_walk
+
+    def short_walk(n, count, s, t):
+        right = s == t  # a left walk is shifted by (0, s), a right walk by (s, s)
+        return walk(n, count - (right == (side == "right")), s, t)
+
+    monkeypatch.setattr(binom, "_shifted_walk", short_walk)
+    with pytest.raises(IndexError):
+        scan_split_shift_identity(2, 2, 1)
+    for argv in (["lemma-scan", "--m-max", "3", "--d-max", "2", "--s-max", "2"], ["bridge", "4", "3"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: list index out of range\n"
 
 
 def test_shift_difference_bound_worked_values():

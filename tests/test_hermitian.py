@@ -354,6 +354,37 @@ def test_decompose_recompose_round_trip():
         assert sum(1 for t in terms if t.weight < 0) == sig.q
 
 
+_DIAGONAL_3 = biform_from_terms(3, 2, [
+    ((2, 0, 0), (2, 0, 0), 1), ((1, 1, 0), (1, 1, 0), Fraction(-9, 5)), ((0, 2, 0), (0, 2, 0), 1), ((0, 0, 2), (0, 0, 2), 1)
+])
+
+
+@pytest.mark.parametrize("form, signature", [
+    # diagonal, with content 2 left on the rows that stay
+    (biform_from_terms(3, 1, [((1, 0, 0), (1, 0, 0), 2), ((0, 1, 0), (0, 1, 0), -4), ((0, 0, 1), (0, 0, 1), 6)]), (2, 1)),
+    (_DIAGONAL_3, (3, 1)),
+    (multiply_signed_norm(multiply_norm_power(_DIAGONAL_3, 2), (2, 1)), None),
+    # the only coupling is imaginary: [[1, 2i], [-2i, 1]] has determinant -3
+    (biform_from_terms(2, 1, [((1, 0), (1, 0), 1), ((1, 0), (0, 1), 2 * i), ((0, 1), (1, 0), -2 * i), ((0, 1), (0, 1), 1)]), (1, 1)),
+    # an isolated z1 z2 block pivots first, then the coupled [[5, 4i], [-4i, 5]]
+    (biform_from_terms(2, 2, [((2, 0), (2, 0), 5), ((1, 1), (1, 1), 3), ((2, 0), (0, 2), 4 * i), ((0, 2), (2, 0), -4 * i),
+                              ((0, 2), (0, 2), 5)]),
+     (3, 0)),
+    # the coupled [[1, 1 + i], [1 - i, -2]] pivots first and leaves the isolated z1 z2 behind
+    (biform_from_terms(2, 2, [((2, 0), (2, 0), 1), ((1, 1), (1, 1), 7), ((2, 0), (0, 2), gauss(1, 1)),
+                              ((0, 2), (2, 0), gauss(1, -1)), ((0, 2), (0, 2), -2)]), (2, 1)),
+])
+def test_decompose_round_trips_on_diagonal_and_block_forms(form, signature):
+    """A step whose w vanishes off its pivot keeps the rest of the matrix as it stands."""
+    terms = decompose(form)
+    assert recompose_squares(form.n_vars, form.half_degree, terms) == form
+    if signature is None:  # a diagonal form: the signs of its diagonal
+        diagonal = [form.re[k][k] for k in range(form.dim)]
+        signature = (sum(v > 0 for v in diagonal), sum(v < 0 for v in diagonal))
+    assert biform_signature(form) == signature
+    assert (sum(t.weight > 0 for t in terms), sum(t.weight < 0 for t in terms)) == signature
+
+
 def test_signature_invariant_under_congruence():
     for seed in range(20):
         form = random_hermitian_instance(2, 1 + seed % 3, seed=seed * 11 + 3)

@@ -1,5 +1,6 @@
 """Tests for polynomials, graded ideals, Hilbert functions, and growth bounds."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from macaulay import binom
 from macaulay.binom import shift_apply
+from macaulay.cli import main
 from macaulay.poly import (
     GradedIdeal,
     HomogPoly,
@@ -197,16 +199,53 @@ def test_bridge_agrees_with_the_per_split_definition(n_vars, d):
     assert bridge_identity_check(n_vars, d) == reference_bridge(n_vars, d)
 
 
+def plant_walk_fault(monkeypatch, n, a, b):
+    """Make every n-th walk list the shifted value of the representation of b as entry a."""
+    walk = binom._shifted_walk
+
+    def faulty_walk(n_, count, s, t):
+        sums = walk(n_, count, s, t)
+        if n_ == n and a <= count:
+            sums[a] = shift_apply(b, n, s, t)
+        return sums
+
+    monkeypatch.setattr(binom, "_shifted_walk", faulty_walk)
+
+
 def test_bridge_sees_a_planted_fault(monkeypatch):
-    walk = binom._macaulay_walk
-
-    def faulty_walk(n, count):
-        reps = walk(n, count)
-        reps[1] = ((n + 1, n),)  # the representation of n + 1, listed for 1
-        return reps
-
-    monkeypatch.setattr(binom, "_macaulay_walk", faulty_walk)
+    # the representation of n + 1, listed for 1, at n = 2: both sides of (n_vars, d) = (3, 2)
+    plant_walk_fault(monkeypatch, 2, 1, 3)
     assert not bridge_identity_check(3, 2)
+
+
+def bridge_failures(n_max, d_max, capsys):
+    code = main(["--format", "structured", "bridge", str(n_max), str(d_max)])
+    failures = json.loads(capsys.readouterr().out)["outputs"]["failures"]
+    assert code == (1 if failures else 0)
+    return failures
+
+
+def test_bridge_grid_fails_exactly_the_failing_pairs(monkeypatch, capsys):
+    assert bridge_failures(7, 7, capsys) == [[n, d] for n in range(2, 8) for d in range(1, 8) if not reference_bridge(n, d)] == []
+    # the representation of 7 listed for 4 at index 3: every pair with m = n - 1 = 3 or d = 3 whose
+    # split count reaches 4 fails, and no other
+    plant_walk_fault(monkeypatch, 3, 4, 7)
+
+    def pair_ok(n_vars, d):
+        total = math.comb(n_vars - 1 + d, d)
+
+        def value(a, n, s, t):
+            return shift_apply(7 if (n, a) == (3, 4) else a, n, s, t)
+
+        return all(
+            value(a, n_vars - 1, 0, 1) + value(total - a, d, 1, 1) == math.comb(n_vars + d, d + 1)
+            for a in range(total + 1)
+        )
+
+    expected = [[n, d] for n in range(2, 8) for d in range(1, 8) if not pair_ok(n, d)]
+    assert [4, 1] in expected and [2, 3] in expected and [5, 5] not in expected
+    assert bridge_failures(7, 7, capsys) == expected
+    assert [[n, d] for n in range(2, 8) for d in range(1, 8) if not bridge_identity_check(n, d)] == expected
 
 
 def test_exact_rank_basics():
