@@ -12,9 +12,10 @@ everything here is arbitrary-precision integer arithmetic with no rounding
 of any kind.
 
 The split-identity scans (``lemma-scan`` and ``bridge``) never build a
-representation by bisection: ``_shifted_walk`` steps through the
-representations of 0, 1, 2, ... in order, keeping a running shifted sum,
-and ``_split_failures`` walks each index once per shift for a whole grid.
+representation by bisection: ``_walk_chain`` lists the shifted values of
+the representations of 0, 1, 2, ... of every index at once, the walk of
+index j as blocks over the walk of index j - 1, and ``_split_failures``
+builds one such chain per side and per shift for a whole grid.
 """
 
 from __future__ import annotations
@@ -134,58 +135,36 @@ def scan_split_shift_identity(m_max: int, d_max: int, s_max: int) -> list[tuple[
     return _split_failures(range(1, m_max + 1), range(1, d_max + 1), range(1, s_max + 1))
 
 
-def _shifted_walk(n: int, count: int, s: int, t: int) -> list[int]:
-    """Shifted values of the n-th Macaulay representations of 0, 1, ..., count.
+def _walk_chain(counts: Sequence[int], s: int, t: int) -> list[list[int]]:
+    """Shifted walks of the indices 0, 1, ..., len(counts) - 1, each built from the one below.
 
-    Entry a equals ``shift_apply(a, n, s, t)`` for s, t >= 0: the sum of
-    C(u+t, j+s) over the terms (u, j) of the representation of a.  Each
-    representation is built from the one before; with terms (a_n, n), ...,
-    (a_delta, delta) for a, the successor a + 1 is:
-
-    * from 0 (no terms): ``[(n, n)]``, since C(n, n) = 1;
-    * delta >= 2: append (delta-1, delta-1), which adds C(delta-1, delta-1)
-      = 1; a_delta >= delta > delta-1 keeps the upper indices strictly
-      decreasing;
-    * delta = 1: bump (a_1, 1) to (a_1+1, 1), which adds
-      C(a_1+1, 1) - C(a_1, 1) = 1.  While the term before the bumped term
-      (u, j) is (u, j+1), the two merge by Pascal's rule,
-      C(u, j+1) + C(u, j) = C(u+1, j+1), into (u+1, j+1); the term before
-      that has upper index >= u+1, so after the last merge the upper
-      indices strictly decrease again.
-
-    Each result is a valid representation of a + 1 (lower indices strictly
-    decrease from n to some delta >= 1, upper indices strictly decrease,
-    a_j >= j), and the n-th representation is unique, so it is the greedy
-    one ``macaulay_rep`` builds.  The term at position k has lower index
-    n - k, so only the upper indices are kept.  The walk keeps the running
-    sum of its terms' values: an appended term adds its value, a carry
-    subtracts the value of every term it pops.  Every merge removes a term
-    and every step adds one, so a step costs amortized O(1), as in a
-    binary counter, and no representation is read twice.  The walk to a
-    count c is the first c + 1 entries of any longer walk.
+    Entry a of the walk of index j >= 1 equals ``shift_apply(a, j, s, t)``
+    for s, t >= 0, and the walk runs at least to a = ``counts[j]``; the walk
+    of index 0 is [0] (``counts[0]`` is not read).  For 0 <= b < C(u, j-1)
+    the j-th Macaulay representation of C(u, j) + b is (u, j) followed by
+    the (j-1)-th representation of b: the greedy step picks u, as
+    C(u, j) <= C(u, j) + b < C(u+1, j), and leaves b.  So after its entry 0
+    the walk of j is the blocks C(u+t, j+s) + lower[b], b < C(u, j-1), for
+    u = j, j+1, ..., where lower is the walk of j-1; block u starts at entry
+    C(u, j).  A walk to c with C(u, j) <= c < C(u+1, j) reads the full blocks
+    below u, up to entry C(u-1, j-1) - 1 of the walk below, and entries
+    0..c - C(u, j) of it for the last block, so each walk is built to the
+    larger of its own count and what the walk above reads.
     """
-    uppers: list[int] = []
-    values: list[int] = []
-    total = 0
-    sums = [0]
-    for _ in range(count):
-        k = len(uppers)
-        if k < n:
-            u = n - k
-        else:
-            u = uppers.pop() + 1
-            total -= values.pop()
-            while uppers and uppers[-1] == u:
-                uppers.pop()
-                total -= values.pop()
-                u += 1
-            k = len(uppers)
-        value = math.comb(u + t, n - k + s)
-        uppers.append(u)
-        values.append(value)
-        total += value
-        sums.append(total)
-    return sums
+    needs = list(counts)
+    for j in range(len(needs) - 1, 1, -1):
+        if needs[j]:
+            u = _largest_upper_index(needs[j], j)
+            needs[j - 1] = max(needs[j - 1], math.comb(u - 1, j - 1) - 1, needs[j] - math.comb(u, j))
+    walks = [[0]]
+    for j in range(1, len(needs)):
+        lower, walk, u = walks[-1], [0], j
+        while len(walk) <= needs[j]:
+            block = min(math.comb(u, j - 1), needs[j] + 1 - len(walk))
+            walk += map(math.comb(u + t, j + s).__add__, lower[:block])
+            u += 1
+        walks.append(walk)
+    return walks
 
 
 def _split_failures(
@@ -202,22 +181,23 @@ def _split_failures(
 
     and returns the failures ordered by m, then d, then s, then a.
 
-    Each index is walked once per shift, to the longest count the grid
-    needs: the walk of 0..c is a prefix of the walk of 0..c' for c < c',
-    so the left walk of m runs to C(m + max(ds), max(ds)) and the right
-    walk of d to C(max(ms) + d, d).  One shift at a time keeps every
-    right walk and the current m's left walk.  A grid point whose splits
-    all sum to the target costs one pass at C speed; the others are read
-    split by split, which also raises ``IndexError`` on a walk that is too
-    short.  An empty grid has no failures.
+    Per shift, one ``_walk_chain`` holds every left walk, the walk of m
+    running to C(m + max(ds), max(ds)), and one every right walk, the walk
+    of d running to C(max(ms) + d, d); each shift's chains are freed before
+    the next shift's are built.  A grid point whose splits all sum to the
+    target costs one pass at C speed; the others are read split by split,
+    which also raises ``IndexError`` on a walk that is too short.  An empty
+    grid has no failures.
     """
     m_top, d_top = max(ms, default=0), max(ds, default=0)
     failures = []
     for s in shifts:
-        rights = [(d, _shifted_walk(d, math.comb(m_top + d, d), s, s)) for d in ds]
+        lefts = _walk_chain([math.comb(m + d_top, d_top) if m in ms else 0 for m in range(m_top + 1)], 0, s)
+        rights = _walk_chain([math.comb(m_top + d, d) if d in ds else 0 for d in range(d_top + 1)], s, s)
         for m in ms:
-            left = _shifted_walk(m, math.comb(m + d_top, d_top), 0, s)
-            for d, right in rights:
+            left = lefts[m]
+            for d in ds:
+                right = rights[d]
                 total = math.comb(m + d, d)
                 target = math.comb(m + d + s, d + s)
                 if list(map(add, left[:total + 1], right[total::-1])).count(target) <= total:
@@ -226,6 +206,7 @@ def _split_failures(
                         for a in range(total + 1)
                         if left[a] + right[total - a] != target
                     ]
+        del lefts, rights
     failures.sort(key=lambda f: (f[2], f[3], f[4], f[0]))
     return failures
 

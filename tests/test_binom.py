@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macaulay import binom, hermitian, oracle, poly
@@ -163,30 +163,53 @@ def test_scan_split_identity_small():
     assert scan_split_shift_identity(3, 3, 2) == []
 
 
+def walk(n, count, s, t):
+    """The walk of index n to ``count``, as the top of a chain with no other count."""
+    return binom._walk_chain([0] * n + [count], s, t)[n]
+
+
 def test_walk_matches_greedy_representations():
     """Entry a of the walk is the shifted sum over macaulay_rep(a, n), as in shift_apply."""
     for n in range(1, 9):
         for s in range(3):
             for t in range(3):
-                assert binom._shifted_walk(n, 4999, s, t) == [shift_apply(a, n, s, t) for a in range(5000)], (n, s, t)
+                assert walk(n, 4999, s, t) == [shift_apply(a, n, s, t) for a in range(5000)], (n, s, t)
 
 
 def test_walk_carries_across_a_whole_representation():
-    # C(k, n) - 1 has n terms (k-1, n), ..., (k-n, 1); one more merges them all into (k, n),
-    # so the running sum must drop every popped term's shifted value
+    # C(k, n) - 1 has n terms (k-1, n), ..., (k-n, 1), the last entry of block k - 1; entry C(k, n) starts
+    # block k, whose representation is (k, n) alone
     for n, k in ((1, 4000), (2, 90), (5, 15), (8, 14)):
         for s, t in ((0, 1), (1, 1), (2, 2)):
-            walk = binom._shifted_walk(n, math.comb(k, n), s, t)
-            assert walk[-2] == sum(math.comb(k - i + t, n + 1 - i + s) for i in range(1, n + 1))
-            assert walk[-1] == math.comb(k + t, n + s)
+            sums = walk(n, math.comb(k, n), s, t)
+            assert sums[-2] == sum(math.comb(k - i + t, n + 1 - i + s) for i in range(1, n + 1))
+            assert sums[-1] == math.comb(k + t, n + s)
 
 
 def test_a_walk_is_a_prefix_of_every_longer_walk():
     for n in range(1, 7):
         for s, t in ((0, 1), (2, 2), (1, 0)):
-            longest = binom._shifted_walk(n, 3000, s, t)
+            longest = walk(n, 3000, s, t)
             for count in (0, 1, n, n + 1, math.comb(n + 3, n), 2999):
-                assert binom._shifted_walk(n, count, s, t) == longest[:count + 1], (n, s, t, count)
+                assert walk(n, count, s, t) == longest[:count + 1], (n, s, t, count)
+
+
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(0, 300), min_size=n + 1, max_size=n + 1)),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+@example([0, 0, 0, 0, 0, 0, 0, 0, 300], 0, 1)  # every level below the top built only for the top
+@example([0, 300, 0, 2, 0, 165, 0, 0, 166], 2, 2)  # own counts above and below what the level above reads
+@example([0, 7, 5, 3, 200, 0, 120, 300], 1, 0)
+@settings(max_examples=60, deadline=None)
+def test_every_level_of_a_chain_matches_shift_apply(counts, s, t):
+    """Each level reaches its own count and lists shift_apply up to its length, whatever the levels above read."""
+    walks = binom._walk_chain(counts, s, t)
+    assert len(walks) == len(counts) and walks[0] == [0]
+    for j in range(1, len(counts)):
+        assert len(walks[j]) > counts[j], (j, counts)
+        assert walks[j] == [shift_apply(a, j, s, t) for a in range(len(walks[j]))], (j, counts, s, t)
 
 
 def reference_scan(m_max, d_max, s_max):
@@ -209,18 +232,19 @@ def test_scan_agrees_with_the_per_split_definition(m_max, d_max, s_max):
 
 
 def plant(monkeypatch, faults):
-    """Make the walk list, for each (n, s, t, a, b) in ``faults``, the shifted
-    value of the representation of b as entry a of the n-th walk."""
-    walk = binom._shifted_walk
+    """Make the chain list, for each (n, s, t, a, b) in ``faults``, the shifted
+    value of the representation of b as entry a of its walk of index n.  The
+    entry is edited after the chain is built, so no walk above reads it."""
+    chain = binom._walk_chain
 
-    def faulty_walk(n, count, s, t):
-        sums = walk(n, count, s, t)
-        for n_, s_, t_, a, b in faults:
-            if (n, s, t) == (n_, s_, t_) and a <= count:
-                sums[a] = shift_apply(b, n, s, t)
-        return sums
+    def faulty_chain(counts, s, t):
+        walks = chain(counts, s, t)
+        for n, s_, t_, a, b in faults:
+            if (s, t) == (s_, t_) and n < len(walks) and a < len(walks[n]):
+                walks[n][a] = shift_apply(b, n, s, t)
+        return walks
 
-    monkeypatch.setattr(binom, "_shifted_walk", faulty_walk)
+    monkeypatch.setattr(binom, "_walk_chain", faulty_chain)
 
 
 def test_scan_reports_a_planted_fault_in_order(monkeypatch):
@@ -258,13 +282,15 @@ def test_a_fault_across_two_shifts_and_two_degrees_is_reported_in_order(monkeypa
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_a_walk_one_step_short_is_an_internal_fault(monkeypatch, capsys, side):
     """A walk that stops before the split count must raise, not answer: exit 3."""
-    walk = binom._shifted_walk
+    chain = binom._walk_chain
 
-    def short_walk(n, count, s, t):
-        right = s == t  # a left walk is shifted by (0, s), a right walk by (s, s)
-        return walk(n, count - (right == (side == "right")), s, t)
+    def short_walk(counts, s, t):
+        walks = chain(counts, s, t)
+        if (s == t) == (side == "right"):  # a left chain is shifted by (0, s), a right chain by (s, s)
+            walks[1:] = [sums[:count] for sums, count in zip(walks[1:], counts[1:])]
+        return walks
 
-    monkeypatch.setattr(binom, "_shifted_walk", short_walk)
+    monkeypatch.setattr(binom, "_walk_chain", short_walk)
     with pytest.raises(IndexError):
         scan_split_shift_identity(2, 2, 1)
     for argv in (["lemma-scan", "--m-max", "3", "--d-max", "2", "--s-max", "2"], ["bridge", "4", "3"]):

@@ -254,7 +254,7 @@ def test_lookup_fault_inside_a_command_exits_3(capsys, monkeypatch, fault):
     def broken(*args):
         raise fault
 
-    monkeypatch.setattr(poly, "_split_failures", broken)
+    monkeypatch.setattr(binom, "_split_failures", broken)
     assert main(["bridge", "4", "4"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -200,16 +200,17 @@ def test_bridge_agrees_with_the_per_split_definition(n_vars, d):
 
 
 def plant_walk_fault(monkeypatch, n, a, b):
-    """Make every n-th walk list the shifted value of the representation of b as entry a."""
-    walk = binom._shifted_walk
+    """Make every chain list the shifted value of the representation of b as entry a of its walk of
+    index n, edited after the chain is built."""
+    chain = binom._walk_chain
 
-    def faulty_walk(n_, count, s, t):
-        sums = walk(n_, count, s, t)
-        if n_ == n and a <= count:
-            sums[a] = shift_apply(b, n, s, t)
-        return sums
+    def faulty_chain(counts, s, t):
+        walks = chain(counts, s, t)
+        if n < len(walks) and a < len(walks[n]):
+            walks[n][a] = shift_apply(b, n, s, t)
+        return walks
 
-    monkeypatch.setattr(binom, "_shifted_walk", faulty_walk)
+    monkeypatch.setattr(binom, "_walk_chain", faulty_chain)
 
 
 def test_bridge_sees_a_planted_fault(monkeypatch):
