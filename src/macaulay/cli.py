@@ -166,11 +166,16 @@ def cmd_bridge(n_max: int, d_max: int) -> Report:
 def cmd_hermitian(path: str, s: int | None, t: int | None, l: int) -> Report:
     if l < 1:
         raise ValueError(f"--l must be >= 1, got {l}")
-    form = hermitian.parse_biform(Path(path).read_text())
-    if s is None and t is None:
+
+    def check(n_vars: int, d: int) -> None:
+        # the report's input checks, in its order, before the matrix is built
+        if (s is None) != (t is None):
+            raise ValueError("give both --s and --t, or neither")
+        hermitian._require_report_inputs(n_vars, d, (n_vars, 0) if s is None else (s, t), l)
+
+    form = hermitian.parse_biform(Path(path).read_text(), check)
+    if s is None:
         s, t = form.n_vars, 0
-    elif s is None or t is None:
-        raise ValueError("give both --s and --t, or neither")
     inputs = {"file": path, "n_vars": form.n_vars, "d": form.half_degree, "s": s, "t": t, "l": l}
     outputs, verdicts = hermitian.hermitian_report(form, (s, t), l)
     verdicts = {k: "not-applicable" if v is None else _verdict(v) for k, v in verdicts.items()}
@@ -180,7 +185,8 @@ def cmd_hermitian(path: str, s: int | None, t: int | None, l: int) -> Report:
 def cmd_min_sos(path: str, l_max: int) -> Report:
     if l_max < 1:
         raise ValueError(f"--l-max must be >= 1, got {l_max}")
-    form = hermitian.parse_biform(Path(path).read_text())
+    # the first norm power's size check, before the matrix is built
+    form = hermitian.parse_biform(Path(path).read_text(), lambda n_vars, d: hermitian._require_power_basis(n_vars, d, 1))
     found = None if form.is_zero() else hermitian.find_min_sos_exponent(form, l_max)
     return Report(
         "min-sos",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .binom import shift_apply
 from .poly import (
@@ -351,21 +351,25 @@ def biform_from_squares(
     return recompose_squares(n_vars, d, [(1, p) for p in plus] + [(-1, q) for q in minus])
 
 
-def biform_rank(form: HermitianBiform) -> int:
+def biform_rank(form: HermitianBiform, _bound: Optional[int] = None) -> int:
     """Exact rank of the coefficient matrix, from its integer parts (den
     times the matrix has the same rank).  A real form's rows of ints go to
     ``exact_rank``, row elimination over the integers.  A non-real form's
     rows of ``(re, im)`` int pairs are first ranked modulo
-    ``RANK_PRIMES[0]`` by ``rank_mod_prime``: since rank_p <= rank <= rows,
-    a modular rank that reaches the row count proves the rank.  Otherwise
-    the rank comes from ``exact_rank``'s fraction-free elimination over the
-    Gaussian integers.  Neither path shares code with the congruence
-    kernel of ``biform_signature``, so rank == p + q checks the two."""
+    ``RANK_PRIMES[0]`` by ``rank_mod_prime``.  ``_bound`` is an upper
+    bound on the rank known from elsewhere (``hermitian_report`` passes r*n
+    for a product by a signed norm), the row count when None: since
+    rank_p <= rank <= min(rows, bound), a modular rank that reaches
+    min(rows, bound) proves the rank.  Otherwise the rank comes from
+    ``exact_rank``'s fraction-free elimination over the Gaussian integers.
+    Neither path shares code with the congruence kernel of
+    ``biform_signature``, so rank == p + q checks the two."""
     if form.im is None:
         return exact_rank([{j: a for j, a in enumerate(ra) if a} for ra in form.re])
     rows = [{j: (a, b) for j, (a, b) in enumerate(zip(ra, ia)) if a or b} for ra, ia in zip(form.re, form.im)]
-    if rank_mod_prime(rows, RANK_PRIMES[0]) == len(rows):
-        return len(rows)
+    top = len(rows) if _bound is None else min(len(rows), _bound)
+    if rank_mod_prime(rows, RANK_PRIMES[0]) == top:
+        return top
     return exact_rank(rows)
 
 
@@ -662,12 +666,25 @@ def hermitian_report(form: HermitianBiform, norm: SignedNorm | tuple[int, int], 
     ones unless form * ||z||^(2l) is a sum of squared norms.  Raises
     ``ValueError`` for n < 2, an (s, t) that does not split n, or a power
     over the size limit, in that order and whatever the form.
+
+    The form's rank r is checked against its p + q, and the product's
+    rank R is ranked against the bound R <= r*n (``biform_rank``'s
+    ``_bound``).  At l = 1 and R = r*n the norm power needs no matrix: its
+    signature is (p*n, q*n) and its rank r*n.  Proof: write M = W C W^H
+    with W of full column rank r and C = diag(+-1) holding p pluses.  The
+    product by the signed norm (s, t) is V D V^H, where the columns of V
+    are E_j W for j = 1..n, E_j the shift alpha -> alpha + e_j (the
+    ``_raised`` table), and D = diag(eps_j C) with eps_j = +1 for j <= s,
+    else -1.  So R <= rank V <= r*n, and R = r*n makes V of full column
+    rank.  V does not depend on (s, t), so every signed product, the
+    Euclidean power included, then has the inertia of its D: by
+    Sylvester's law, (p*s + q*t, p*t + q*s), which is (p*n, q*n) at
+    (n, 0).  Elsewhere the power's signature comes from the congruence
+    kernel, and at (n, 0) and l = 1, where the power is the product, its
+    p + q is checked against R.
     """
     n, (s, t) = form.n_vars, norm
-    if n < 2:
-        raise ValueError(f"the bounds need at least 2 variables, got {n}")
-    _require_signed_norm(n, norm)
-    _require_power_basis(n, form.half_degree, l)
+    _require_report_inputs(n, form.half_degree, norm, l)
     verdicts = dict.fromkeys(("product_rank_bounds", "positive_part_bound", "negative_part_bound", "sos_rank_interval"))
     if form.is_zero():
         return {"note": "zero form: rank and signature bounds do not apply"}, verdicts
@@ -675,14 +692,17 @@ def hermitian_report(form: HermitianBiform, norm: SignedNorm | tuple[int, int], 
     if r != sig.rank:
         raise ArithmeticError(f"rank {r} of the form differs from p + q = {sig.rank}")
     euclidean = (s, t) == (n, 0)
-    product = multiply_signed_norm(form, (s, t))
-    rank_product = biform_rank(product)
     low, high = product_rank_interval(r, n)
-    power = multiply_norm_power(product, l - 1) if euclidean else multiply_norm_power(form, l)
-    power_sig = biform_signature(power)
-    # at (s, t) = (n, 0) the power extends the product, and at l = 1 it is the product
-    if euclidean and l == 1 and rank_product != power_sig.rank:
-        raise ArithmeticError(f"rank {rank_product} of the product differs from p + q = {power_sig.rank}")
+    product = multiply_signed_norm(form, (s, t))
+    rank_product = biform_rank(product, high)
+    if l == 1 and rank_product == high:
+        power_sig = SignaturePair(sig.p * n, sig.q * n)
+    else:
+        power = multiply_norm_power(product, l - 1) if euclidean else multiply_norm_power(form, l)
+        power_sig = biform_signature(power)
+        # at (s, t) = (n, 0) the power extends the product, and at l = 1 it is the product
+        if euclidean and l == 1 and rank_product != power_sig.rank:
+            raise ArithmeticError(f"rank {rank_product} of the product differs from p + q = {power_sig.rank}")
     outputs = {
         "signature": {"p": sig.p, "q": sig.q},
         "rank": r,
@@ -771,6 +791,16 @@ def _require_power_basis(n_vars: int, d: int, l: int) -> None:
         raise ValueError(f"at l = {l}, the norm power of degree {d + l} in {n_vars} variables has {dim} basis monomials, over {MAX_BIFORM_DIM}")
 
 
+def _require_report_inputs(n_vars: int, d: int, norm: SignedNorm | tuple[int, int], l: int) -> None:
+    """``hermitian_report``'s input checks, which need no matrix: raise
+    ``ValueError`` for n_vars < 2, an (s, t) that does not split n_vars,
+    or a norm power over the size limit, in that order."""
+    if n_vars < 2:
+        raise ValueError(f"the bounds need at least 2 variables, got {n_vars}")
+    _require_signed_norm(n_vars, norm)
+    _require_power_basis(n_vars, d, l)
+
+
 def format_biform(form: HermitianBiform) -> str:
     """Serialize to the shared JSON document.  Only the upper triangle is
     written, straight from (den, re, im); parsing restores the rest by
@@ -794,7 +824,7 @@ def format_biform(form: HermitianBiform) -> str:
     return _json_text(doc)
 
 
-def parse_biform(text: str) -> HermitianBiform:
+def parse_biform(text: str, check: Optional[Callable[[int, int], None]] = None) -> HermitianBiform:
     """Parse the shared biform document.
 
     Each term is {"alpha": [...], "beta": [...], "coeff": {"re": "p/q",
@@ -809,6 +839,11 @@ def parse_biform(text: str) -> HermitianBiform:
     Every schema fault raises ``ValueError``, and so does an ``n_vars`` or
     ``d`` over ``MAX_BIFORM_DIM`` or a basis of more than that many
     monomials, before any of it is built.
+
+    Parsing runs in two steps: the document and its terms are read and
+    checked, and the basis built, first; the matrix is built last.  A
+    caller's ``check(n_vars, d)`` runs between the two, so that a form
+    the caller cannot use is refused before its matrix costs anything.
     """
     doc = _json_document(text, ("n_vars", "d", "terms"), "biform document")
     n_vars = _json_int(doc["n_vars"], "n_vars")
@@ -827,4 +862,7 @@ def parse_biform(text: str) -> HermitianBiform:
         terms.append((alpha, beta, (_json_rational(coeff["re"], "re"), _json_rational(coeff["im"], "im"))))
     listed = {(alpha, beta) for alpha, beta, _ in terms}
     mirrors = [(beta, alpha, (re, -im)) for alpha, beta, (re, im) in terms if (beta, alpha) not in listed]
+    monomials_of_degree(n_vars, d)  # refuses n_vars < 1 or d < 0 as the build would, before the check
+    if check is not None:
+        check(n_vars, d)
     return biform_from_terms(n_vars, d, terms + mirrors)

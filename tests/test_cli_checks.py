@@ -151,8 +151,8 @@ def test_hermitian_validates_before_any_elimination(capsys, monkeypatch, tmp_pat
     path = tmp_path / "b.json"
     path.write_text(format_biform(form))
     calls = []
-    for name in ("biform_signature", "biform_rank"):
-        monkeypatch.setattr(hermitian, name, lambda f, name=name: calls.append(name))
+    for name in ("biform_signature", "biform_rank", "biform_from_terms"):
+        monkeypatch.setattr(hermitian, name, lambda *args, name=name: calls.append(name))
     assert main(["hermitian", str(path), *argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert calls == []
@@ -337,6 +337,27 @@ def test_a_norm_power_over_the_size_limit_is_refused_before_any_product(capsys, 
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["hermitian", "min-sos"])
+@pytest.mark.parametrize("terms", [[("1", [43, 0, 0])], []])
+def test_a_first_norm_power_over_the_size_limit_is_refused_before_the_matrix_is_built(
+    capsys, monkeypatch, tmp_path, command, terms
+):
+    """|z1^43|^2 in 3 variables, or the zero form: 990 basis monomials,
+    which parse, and 1035 in the first norm power, which no command takes.
+    The refusal comes between reading the document and building its
+    990 x 990 matrix, for the zero form too."""
+    path = tmp_path / "b.json"
+    path.write_text(_diagonal_document(3, 43, *terms))
+    monkeypatch.setattr(hermitian, "biform_from_terms", lambda *args: pytest.fail("built the matrix"))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: at l = 1, the norm power of degree 44 in 3 variables has 1035 basis monomials,"
+        f" over {hermitian.MAX_BIFORM_DIM}\n"
+    )
 
 
 def test_the_last_admitted_norm_power_gets_past_the_size_check(monkeypatch):

@@ -43,6 +43,7 @@ from macaulay.poly import (
     RANK_PRIMES,
     GradedIdeal,
     HomogPoly,
+    exact_rank,
     graded_piece_dim,
     monomial_poly,
     monomials_of_degree,
@@ -603,6 +604,130 @@ def test_verify_product_rank_bounds():
             continue
         for s in range(n + 1):
             assert hermitian_report(form, (s, n - s), 1)[1]["product_rank_bounds"] is True
+
+
+def koszul_form() -> HermitianBiform:
+    """|z1 g|^2 + |z2 g|^2 with g = z1 + i z2: rank r = 2, and r*n = 4 is
+    the product's row count, but z2 * (z1 g) = z1 * (z2 g), so no product
+    by a signed norm reaches rank r*n."""
+    g = HomogPoly(2, 1, {(1, 0): GaussianRational(1), (0, 1): i})
+    return biform_from_squares(2, 2, [monomial_poly((1, 0)) * g, monomial_poly((0, 1)) * g])
+
+
+def exact_biform_rank(form: HermitianBiform) -> int:
+    """The rank from ``exact_rank`` alone, with no modular certificate."""
+    if form.im is None:
+        return exact_rank([{j: a for j, a in enumerate(ra) if a} for ra in form.re])
+    return exact_rank(biform_rows(form))
+
+
+def recorded_exact_ranks(monkeypatch) -> list[int]:
+    """The row count of every matrix that ``biform_rank`` hands to
+    ``exact_rank`` from now on."""
+    rows_seen = []
+    true_exact_rank = hermitian.exact_rank
+    monkeypatch.setattr(hermitian, "exact_rank", lambda rows: rows_seen.append(len(rows)) or true_exact_rank(rows))
+    return rows_seen
+
+
+def recorded_signatures(monkeypatch) -> list[int]:
+    """The dimension of every matrix that ``hermitian_report`` hands to
+    ``biform_signature`` from now on."""
+    dims = []
+    true_signature = hermitian.biform_signature
+    monkeypatch.setattr(hermitian, "biform_signature", lambda form: dims.append(form.dim) or true_signature(form))
+    return dims
+
+
+@st.composite
+def independent_square_families(draw):
+    """(n, form): a sum of k <= dim'/n squares of mixed sign in n variables,
+    dim' the product's basis size, so that r*n never passes the row count."""
+    n, d = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    k = draw(st.integers(1, math.comb(n + d, d + 1) // n))
+    squares = draw(st.lists(_polys(n, d, nonzero=True), min_size=k, max_size=k))
+    split = draw(st.integers(0, k))
+    return n, biform_from_squares(n, d, squares[:split], squares[split:])
+
+
+@given(independent_square_families())
+@example((2, biform_from_squares(2, 2, [monomial_poly((2, 0))], [monomial_poly((0, 2))])))
+@example((2, koszul_form()))
+@settings(max_examples=60, deadline=None)
+def test_the_product_certificate_matches_a_full_elimination(family):
+    """At every (s, t) and l = 1, the product rank and the power's rank
+    and sum-of-squares verdict equal those of an ``exact_rank`` of the
+    product and a congruence pass over the built power."""
+    n, form = family
+    if form.is_zero():
+        return
+    power = biform_signature(multiply_norm_power(form, 1))
+    for s in range(n + 1):
+        outputs, _ = hermitian_report(form, (s, n - s), 1)
+        product_rank = exact_biform_rank(multiply_signed_norm(form, (s, n - s)))
+        assert (outputs["product_rank"], outputs["norm_power_rank"], outputs["norm_power_is_sum_of_squares"]) == (
+            product_rank, power.rank, power.q == 0)
+
+
+@pytest.mark.parametrize("norm", [(2, 0), (1, 1), (0, 2)])
+@pytest.mark.parametrize("minus, power", [([], (4, 0)), ([monomial_poly((0, 2))], (2, 2))])
+def test_a_product_of_rank_r_times_n_gives_the_power_signature_of_the_form(monkeypatch, norm, minus, power):
+    """|z1^2|^2 +- |z2^2|^2: the products have rank r*n = 4 at every norm,
+    so the l = 1 power, (|z1^3|^2 + |z1^2 z2|^2) +- (|z1 z2^2|^2 + |z2^3|^2),
+    has signature (p*n, q*n) with no congruence pass over it."""
+    plus = [monomial_poly((2, 0))] + ([] if minus else [monomial_poly((0, 2))])
+    form = biform_from_squares(2, 2, plus, minus)
+    assert biform_signature(multiply_norm_power(form, 1)) == power
+    dims = recorded_signatures(monkeypatch)
+    outputs, _ = hermitian_report(form, norm, 1)
+    assert (outputs["product_rank"], outputs["norm_power_rank"]) == (4, 4)
+    assert outputs["norm_power_is_sum_of_squares"] is (power[1] == 0)
+    assert dims == [form.dim]
+
+
+def test_the_power_signature_is_read_off_the_form_at_l_1_only(monkeypatch):
+    """(|z1^2|^2 + |z2^2|^2) ||z||^4 = |z1^4|^2 + 2|z1^3 z2|^2 + 2|z1^2 z2^2|^2
+    + 2|z1 z2^3|^2 + |z2^4|^2 has rank 5, not the p*n = 4 of l = 1."""
+    form = biform_from_squares(2, 2, [monomial_poly((2, 0)), monomial_poly((0, 2))])
+    dims = recorded_signatures(monkeypatch)
+    outputs, _ = hermitian_report(form, (2, 0), 2)
+    assert (outputs["product_rank"], outputs["norm_power_rank"]) == (4, 5)
+    assert dims == [form.dim, 5]
+
+
+def test_a_product_short_of_r_times_n_takes_the_full_path(monkeypatch):
+    """The Koszul form's products fall short of r*n = 4, so Bareiss ranks
+    them and the power gets its congruence pass: rank 3 at (2, 0) and 2
+    at (1, 1), and the power |z1^2 g|^2 + 2|z1 z2 g|^2 + |z2^2 g|^2 has
+    rank 3."""
+    form = koszul_form()
+    assert biform_signature(form) == (2, 0) and product_rank_interval(2, 2) == (2, 4)
+    exact_calls = recorded_exact_ranks(monkeypatch)
+    dims = recorded_signatures(monkeypatch)
+    for norm, product_rank in (((2, 0), 3), ((1, 1), 2)):
+        exact_calls.clear()
+        dims.clear()
+        outputs, _ = hermitian_report(form, norm, 1)
+        assert (outputs["product_rank"], outputs["norm_power_rank"]) == (product_rank, 3)
+        assert outputs["norm_power_is_sum_of_squares"] is True
+        assert exact_calls == [3, 4]
+        assert dims == [3, 4]
+
+
+def test_a_modular_rank_that_reaches_the_bound_certifies_the_product(monkeypatch):
+    """|z1 - i z2|^2 times |z1|^2 - |z2|^2 has rank r*n = 2 in 3 rows: the
+    modular rank proves it under the bound, and without it Bareiss runs.
+    In the report, only the form's own rank 1 of 2 rows reaches Bareiss."""
+    exact_calls = recorded_exact_ranks(monkeypatch)
+    product = multiply_signed_norm(rank_one_form(), (1, 1))
+    assert (product.dim, biform_rank(product, 2)) == (3, 2)
+    assert exact_calls == []
+    assert biform_rank(product, 3) == biform_rank(product) == 2
+    assert exact_calls == [3, 3]
+    exact_calls.clear()
+    outputs, _ = hermitian_report(rank_one_form(), (1, 1), 1)
+    assert (outputs["product_rank"], outputs["norm_power_rank"]) == (2, 2)
+    assert exact_calls == [2]
 
 
 @pytest.mark.parametrize("form", [zero_biform(2, 1), biform_from_terms(2, 1, [((1, 0), (1, 0), 1)])])

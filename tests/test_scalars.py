@@ -183,10 +183,13 @@ def test_rank_routines_see_only_integer_rows(monkeypatch, tmp_path, capsys):
     path that computes a rank: ``verify`` and modular-checked ``hilbert`` on
     ideal files, graded pieces of a mixed real and Gaussian ideal in both
     modes, ``verify_ideal_containment``, ``hermitian`` on a real, a
-    full-rank non-real and a rank-deficient non-real biform, and
+    full-rank non-real and two rank-deficient non-real biforms, and
     ``min-sos``.  Calls are counted per routine: ``biform_rank`` ranks a
     non-real matrix modulo a prime first, and ``exact_rank`` only when that
-    rank falls short of the row count."""
+    rank falls short of the row count, or for a product by the norm, of
+    r*n when that is smaller.  So the product of |z1 - i z2|^2 (rank 2 =
+    r*n) is certified, and that of the Koszul form |z1 g|^2 + |z2 g|^2,
+    g = z1 + i z2, whose rank 3 falls short of r*n = 4, is not."""
     calls = []
 
     def checked(kernel):
@@ -243,11 +246,14 @@ def test_rank_routines_see_only_integer_rows(monkeypatch, tmp_path, capsys):
     gaussian = hermitian.biform_from_terms(2, 1, [((1, 0), (1, 0), 1), ((1, 0), (0, 1), GaussianRational(1, 2)),
                                                   ((0, 1), (1, 0), GaussianRational(1, -2))])
     rank_one = hermitian.biform_from_squares(2, 1, [HomogPoly(2, 1, {(1, 0): GaussianRational(1), (0, 1): -i})])
-    # (form, product) ranks: (2, 3) for the full-rank non-real form and (1, 2) for |z1 - i z2|^2
+    g = HomogPoly(2, 1, {(1, 0): GaussianRational(1), (0, 1): i})
+    koszul = hermitian.biform_from_squares(2, 2, [monomial_poly((1, 0)) * g, monomial_poly((0, 1)) * g])
+    # (form, product) ranks: (2, 3) for the full-rank non-real form, (1, 2) for |z1 - i z2|^2, (2, 3) for koszul
     for k, (form, expected) in enumerate((
         (real, {("exact_rank", "int"): 2}),
         (gaussian, {("rank_mod_prime", "pair"): 2}),
-        (rank_one, {("rank_mod_prime", "pair"): 2, ("exact_rank", "pair"): 2}),
+        (rank_one, {("rank_mod_prime", "pair"): 2, ("exact_rank", "pair"): 1}),
+        (koszul, {("rank_mod_prime", "pair"): 2, ("exact_rank", "pair"): 2}),
     )):
         path = tmp_path / f"biform-{k}.json"
         path.write_text(hermitian.format_biform(form))
