@@ -34,6 +34,7 @@ from .poly import (
     _EXACT_TYPES,
     _exact_parts,
     _json_document,
+    _json_exponents,
     _json_int,
     _json_list,
     _json_object,
@@ -351,7 +352,7 @@ def biform_from_squares(
     return recompose_squares(n_vars, d, [(1, p) for p in plus] + [(-1, q) for q in minus])
 
 
-def biform_rank(form: HermitianBiform, _bound: Optional[int] = None) -> int:
+def biform_rank(form: HermitianBiform, _bound: Optional[int] = None, _count: Optional[int] = None) -> int:
     """Exact rank of the coefficient matrix, from its integer parts (den
     times the matrix has the same rank).  A real form's rows of ints go to
     ``exact_rank``, row elimination over the integers.  A non-real form's
@@ -363,12 +364,20 @@ def biform_rank(form: HermitianBiform, _bound: Optional[int] = None) -> int:
     min(rows, bound) proves the rank.  Otherwise the rank comes from
     ``exact_rank``'s fraction-free elimination over the Gaussian integers.
     Neither path shares code with the congruence kernel of
-    ``biform_signature``, so rank == p + q checks the two."""
+    ``biform_signature``, so rank == p + q checks the two.
+
+    ``_count`` is the caller's own count of the rank (``hermitian_report``
+    passes the form's p + q).  When it is below min(rows, bound), the
+    modular rank is not tried and ``exact_rank`` answers.  This is sound:
+    as rank_p <= rank, the modular rank reaches min(rows, bound) only when
+    the rank does; the rank is then not ``_count``, and the caller's check
+    rank == p + q fails on the exact rank as it would on the certified one.
+    So ``_count`` only picks the path and is never the answer."""
     if form.im is None:
         return exact_rank([{j: a for j, a in enumerate(ra) if a} for ra in form.re])
     rows = [{j: (a, b) for j, (a, b) in enumerate(zip(ra, ia)) if a or b} for ra, ia in zip(form.re, form.im)]
     top = len(rows) if _bound is None else min(len(rows), _bound)
-    if rank_mod_prime(rows, RANK_PRIMES[0]) == top:
+    if (_count is None or _count >= top) and rank_mod_prime(rows, RANK_PRIMES[0]) == top:
         return top
     return exact_rank(rows)
 
@@ -385,9 +394,11 @@ def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):
     u = e_i + conj(a) e_j for the first off-diagonal a = W[i][j] != 0, so
     that delta = 2|a|^2 > 0.  It replaces W by |delta| W - sgn(delta) w w^H
     on ``rest``, the live rows but k (all of them after a zero-diagonal
-    step), and divides that by its positive content g.  So a zero row
-    leaves in the step that finds it, as does the row k an e_k step makes
-    zero.  When an e_k step's w vanishes off k (column k of W is zero but
+    step), and divides that by its positive content g.  The content is a
+    running gcd over the new rows, one row at a time, that stops once it
+    reaches 1: by associativity it is the gcd of every entry, and no later
+    row can take it below 1.  So a zero row leaves in the step that finds
+    it, as does the row k an e_k step makes zero.  When an e_k step's w vanishes off k (column k of W is zero but
     for its diagonal), that matrix is |delta| times W on ``rest``, so the
     step takes g = |delta| and goes on with W on ``rest`` as it stands,
     with no multiply and no division: on a diagonal W every step is one.
@@ -454,7 +465,12 @@ def _congruence_steps(re: list[list[int]], im: Optional[list[list[int]]]):
                 new_re.append([scale * row[s] - xr * sx[s] for s in rest])
             else:
                 new_re.append([scale * row[s] for s in rest])
-        g = math.gcd(*[math.gcd(*row) for row in new_re + new_im]) or 1
+        g = 0
+        for row in new_re + new_im:
+            g = math.gcd(g, *row)
+            if g == 1:
+                break
+        g = g or 1
         if g > 1:
             new_re = [[v // g for v in row] for row in new_re]
             new_im = [[v // g for v in row] for row in new_im]
@@ -667,7 +683,8 @@ def hermitian_report(form: HermitianBiform, norm: SignedNorm | tuple[int, int], 
     ``ValueError`` for n < 2, an (s, t) that does not split n, or a power
     over the size limit, in that order and whatever the form.
 
-    The form's rank r is checked against its p + q, and the product's
+    The form's rank r is checked against its p + q (passed to
+    ``biform_rank`` as ``_count``, which picks its path), and the product's
     rank R is ranked against the bound R <= r*n (``biform_rank``'s
     ``_bound``).  At l = 1 and R = r*n the norm power needs no matrix: its
     signature is (p*n, q*n) and its rank r*n.  Proof: write M = W C W^H
@@ -688,7 +705,8 @@ def hermitian_report(form: HermitianBiform, norm: SignedNorm | tuple[int, int], 
     verdicts = dict.fromkeys(("product_rank_bounds", "positive_part_bound", "negative_part_bound", "sos_rank_interval"))
     if form.is_zero():
         return {"note": "zero form: rank and signature bounds do not apply"}, verdicts
-    sig, r = biform_signature(form), biform_rank(form)
+    sig = biform_signature(form)
+    r = biform_rank(form, _count=sig.rank)
     if r != sig.rank:
         raise ArithmeticError(f"rank {r} of the form differs from p + q = {sig.rank}")
     euclidean = (s, t) == (n, 0)
@@ -856,8 +874,8 @@ def parse_biform(text: str, check: Optional[Callable[[int, int], None]] = None) 
     terms = []
     for term in _json_list(doc["terms"], "terms"):
         term = _json_object(term, ("alpha", "beta", "coeff"), "term")
-        alpha = tuple(_json_int(e, "exponent") for e in _json_list(term["alpha"], "alpha"))
-        beta = tuple(_json_int(e, "exponent") for e in _json_list(term["beta"], "beta"))
+        alpha = _json_exponents(term["alpha"], "alpha")
+        beta = _json_exponents(term["beta"], "beta")
         coeff = _json_object(term["coeff"], ("re", "im"), "coeff")
         terms.append((alpha, beta, (_json_rational(coeff["re"], "re"), _json_rational(coeff["im"], "im"))))
     listed = {(alpha, beta) for alpha, beta, _ in terms}

@@ -20,7 +20,8 @@ autoreduction and the pruning.
 H_{R/I}(d) = 0, every later degree is proven full and filled without
 rows or elimination, so neither mode checks it modulo a prime.
 
-Polynomial coefficients are ``fractions.Fraction``.  Arithmetic uses
+Polynomial coefficients are ints or ``fractions.Fraction``s; the document
+readers read an integral value as an int.  Arithmetic uses
 field operations only, and ``_exact_parts`` reads a non-real scalar
 through its ``re``/``im`` parts, so Gaussian-rational coefficients (see
 :mod:`macaulay.hermitian`) work unchanged.  The matrix path reads each
@@ -943,9 +944,21 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _json_rational(value, what: str) -> Fraction:
-    """A "p/q" string or a JSON integer as an exact rational.  JSON floats
-    are refused: their binary value is rarely the decimal that was meant.
+def _json_exponents(value, what: str) -> tuple[int, ...]:
+    """The JSON array ``value`` as a tuple of exponents.  One pass checks
+    that every entry is an int; only when one is not does the per-entry
+    ``_json_int`` run, to refuse the first bad entry by its message."""
+    value = _json_list(value, what)
+    if all(type(e) is int for e in value):
+        return tuple(value)
+    return tuple(_json_int(e, "exponent") for e in value)
+
+
+def _json_rational(value, what: str) -> int | Fraction:
+    """A "p/q" string or a JSON integer as an exact rational: the value
+    ``Fraction(value)`` gives, as an int when it is integral, since every
+    reader of scalars takes ints as they are.  JSON floats are refused:
+    their binary value is rarely the decimal that was meant.
 
     The plain forms "n" and "p/q" (ASCII digits, an optional leading "-"
     on p, q nonzero) are read with ``int``; every other form goes to
@@ -955,15 +968,17 @@ def _json_rational(value, what: str) -> Fraction:
         digits = num[1:] if num[:1] == "-" else num
         if digits.isascii() and digits.isdigit():
             if not slash:
-                return Fraction(int(num))
+                return int(num)
             if den.isascii() and den.isdigit() and den.strip("0"):
-                return Fraction(int(num), int(den))
+                value = Fraction(int(num), int(den))
+                return value.numerator if value.denominator == 1 else value
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ValueError(f'{what} must be a "p/q" string or an integer, got {value!r}')
     try:
-        return Fraction(value)
+        value = Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"{what} has a zero denominator: {value!r}") from None
+    return value.numerator if value.denominator == 1 else value
 
 
 def parse_ideal(text: str) -> GradedIdeal:
@@ -979,11 +994,11 @@ def parse_ideal(text: str) -> GradedIdeal:
     n_vars = _json_int(doc["n_vars"], "n_vars")
     gens = []
     for gen_terms in _json_list(doc["generators"], "generators"):
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         degree = None
         for term in _json_list(gen_terms, "generator"):
             term = _json_object(term, ("coeff", "exponents"), "term")
-            mono = tuple(_json_int(e, "exponent") for e in _json_list(term["exponents"], "exponents"))
+            mono = _json_exponents(term["exponents"], "exponents")
             coeff = _json_rational(term["coeff"], "coeff")
             degree = monomial_degree(mono) if degree is None else degree
             terms[mono] = terms[mono] + coeff if mono in terms else coeff

@@ -71,16 +71,22 @@ def test_internal_fault_exits_3(capsys, monkeypatch, imaginary_form_file, rank_o
     assert main(["--format", "structured", "hermitian", rank_one_form_file]) == 0
     assert json.loads(capsys.readouterr().out)["outputs"]["rank"] == 1
     # a rank off by one no longer equals p + q from the congruence kernel: the
-    # Bareiss kernel's, or a modular rank one high, which certifies a full rank
+    # Bareiss kernel's on the rank-one form, whose p + q = 1 sends it straight
+    # there, or a modular rank one high, which certifies a full rank: on the
+    # full-rank form, that of its product (rank 2 of 3 rows, under r*n = 4)
     true_rank, true_rank_mod_prime = poly._gaussian_rank, hermitian.rank_mod_prime
-    for module, name, wrong in ((poly, "_gaussian_rank", lambda rows: true_rank(rows) + 1),
-                                (hermitian, "rank_mod_prime", lambda rows, p: true_rank_mod_prime(rows, p) + 1)):
+    for module, name, wrong, path, message in (
+        (poly, "_gaussian_rank", lambda rows: true_rank(rows) + 1, rank_one_form_file,
+         "rank 2 of the form differs from p + q = 1"),
+        (hermitian, "rank_mod_prime", lambda rows, p: true_rank_mod_prime(rows, p) + 1, imaginary_form_file,
+         "rank 3 of the product differs from p + q = 2"),
+    ):
         with monkeypatch.context() as patch:
             patch.setattr(module, name, wrong)
-            assert main(["hermitian", rank_one_form_file]) == 3
+            assert main(["hermitian", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "internal error: rank 2 of the form differs from p + q = 1\n"
+        assert captured.err == f"internal error: {message}\n"
 
 
 def test_wrong_product_rank_exits_3_where_the_power_is_the_product(capsys, monkeypatch, imaginary_form_file):

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from macaulay import hermitian
@@ -260,6 +260,56 @@ def test_an_unlucky_prime_falls_back_to_bareiss(monkeypatch, tmp_path):
         assert main(["--format", "structured", "hermitian", str(path)]) == 0
     outputs = json.loads(out.getvalue())["outputs"]
     assert (outputs["rank"], outputs["signature"]) == (2, {"p": 2, "q": 0})
+
+
+def test_a_count_below_the_row_count_skips_the_modular_rank(monkeypatch):
+    """|z1 - i z2|^2 has p + q = 1 of 2 rows: given that count,
+    ``biform_rank`` goes straight to ``exact_rank``, and so does the
+    report for the form, whose certificate runs on the product alone.  A
+    count that reaches the row count still tries the certificate first."""
+    def no_modular_rank(rows, p):
+        raise AssertionError("rank_mod_prime ran")
+
+    exact_calls = recorded_exact_ranks(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(hermitian, "rank_mod_prime", no_modular_rank)
+        assert [biform_rank(rank_one_form(), _count=c) for c in (0, 1)] == [1, 1]
+    assert exact_calls == [2, 2]
+    modular_calls = []
+    true_rank_mod_prime = hermitian.rank_mod_prime
+    monkeypatch.setattr(hermitian, "rank_mod_prime", lambda rows, p: modular_calls.append(len(rows)) or true_rank_mod_prime(rows, p))
+    exact_calls.clear()
+    imaginary = biform_from_terms(2, 1, [((1, 0), (0, 1), i), ((0, 1), (1, 0), -i)])
+    assert [biform_rank(imaginary, _count=c) for c in (2, 3)] == [2, 2]
+    assert (modular_calls, exact_calls) == ([2, 2], [])
+    modular_calls.clear()
+    outputs, _ = hermitian_report(rank_one_form(), (2, 0), 1)
+    assert (outputs["rank"], outputs["product_rank"]) == (1, 2)
+    assert (modular_calls, exact_calls) == ([3], [2])
+
+
+@st.composite
+def gaussian_square_families(draw):
+    """A non-real sum of k <= dim squares of mixed sign, in 2 or 3
+    variables and of degree 1 or 2: full rank or rank-deficient."""
+    n, d = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    k = draw(st.integers(1, math.comb(n - 1 + d, d)))
+    squares = draw(st.lists(_polys(n, d, nonzero=True), min_size=k, max_size=k))
+    split = draw(st.integers(0, k))
+    form = biform_from_squares(n, d, squares[:split], squares[split:])
+    assume(form.im is not None)
+    return form
+
+
+@given(gaussian_square_families())
+@example(rank_one_form())
+@example(unlucky_form())
+@settings(max_examples=80, deadline=None)
+def test_the_count_only_picks_the_path(form):
+    """Whatever count the caller passes, right or wrong, the rank is
+    the one ``exact_rank`` gives."""
+    rank = exact_biform_rank(form)
+    assert [biform_rank(form, _count=c) for c in range(form.dim + 2)] == [rank] * (form.dim + 2)
 
 
 def test_biform_signature_worked_values():

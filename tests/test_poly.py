@@ -378,13 +378,15 @@ def test_format_ideal_bytes_are_stable():
 
 def _json_rational_by_fraction(value, what):
     """The rational reader as ``Fraction`` alone: ``Fraction(value)`` for
-    a str or an int, refusal for a bool, a float or anything else."""
+    a str or an int, as its int numerator when it is integral, and refusal
+    for a bool, a float or anything else."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ValueError(f'{what} must be a "p/q" string or an integer, got {value!r}')
     try:
-        return Fraction(value)
+        f = Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"{what} has a zero denominator: {value!r}") from None
+    return f.numerator if f.denominator == 1 else f
 
 
 @pytest.mark.parametrize("value", [

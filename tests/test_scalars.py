@@ -187,8 +187,11 @@ def test_rank_routines_see_only_integer_rows(monkeypatch, tmp_path, capsys):
     ``min-sos``.  Calls are counted per routine: ``biform_rank`` ranks a
     non-real matrix modulo a prime first, and ``exact_rank`` only when that
     rank falls short of the row count, or for a product by the norm, of
-    r*n when that is smaller.  So the product of |z1 - i z2|^2 (rank 2 =
-    r*n) is certified, and that of the Koszul form |z1 g|^2 + |z2 g|^2,
+    r*n when that is smaller.  A form whose p + q already falls short of
+    its row count skips the modular rank and goes to ``exact_rank``, so
+    the two rank-deficient forms make one ``rank_mod_prime`` call each,
+    on their products.  The product of |z1 - i z2|^2 (rank 2 = r*n) is
+    certified, and that of the Koszul form |z1 g|^2 + |z2 g|^2,
     g = z1 + i z2, whose rank 3 falls short of r*n = 4, is not."""
     calls = []
 
@@ -252,8 +255,8 @@ def test_rank_routines_see_only_integer_rows(monkeypatch, tmp_path, capsys):
     for k, (form, expected) in enumerate((
         (real, {("exact_rank", "int"): 2}),
         (gaussian, {("rank_mod_prime", "pair"): 2}),
-        (rank_one, {("rank_mod_prime", "pair"): 2, ("exact_rank", "pair"): 1}),
-        (koszul, {("rank_mod_prime", "pair"): 2, ("exact_rank", "pair"): 2}),
+        (rank_one, {("rank_mod_prime", "pair"): 1, ("exact_rank", "pair"): 1}),
+        (koszul, {("rank_mod_prime", "pair"): 1, ("exact_rank", "pair"): 2}),
     )):
         path = tmp_path / f"biform-{k}.json"
         path.write_text(hermitian.format_biform(form))
