@@ -14,8 +14,10 @@ inside a command does (a ``LookupError``): a bug, never an answer.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -241,13 +243,20 @@ def cmd_corpus(args: argparse.Namespace) -> Report:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a fresh HelpFormatter for every add_argument and every
+    # usage or help message, and each one reads the terminal size unless it
+    # is given a width.  Read it once here, as HelpFormatter would (columns
+    # less 2), so help and usage still follow COLUMNS as main() sees it.
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="macaulay",
         description="Exact Macaulay representations, Hilbert function bounds, and Hermitian signature inequalities.",
+        formatter_class=formatter,
     )
     parser.add_argument("--format", choices=("text", "structured"), default="text",
                         help="report rendering: human-readable text or JSON")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
     # Each handler looks its cmd_* function up by name when it runs, so a
     # caller that rebinds a module attribute (a tracer, a test) is honoured.
 

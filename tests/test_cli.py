@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface and its report format."""
 
+import argparse
 import json
+import os
+import shutil
 from fractions import Fraction
 
 import pytest
 
-from macaulay import hermitian
-from macaulay.cli import Report, main
+from macaulay import cli, hermitian
+from macaulay.cli import Report, build_parser, main
 from macaulay.hermitian import GaussianRational, HermitianBiform, biform_from_terms, format_biform, zero_biform
 from macaulay.poly import GradedIdeal, format_ideal, variable
 
@@ -290,3 +293,65 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["macrep", "not-a-number", "3"])
     assert exc.value.code == 2
+
+
+SUBCOMMANDS = ("macrep", "shift", "lemma-scan", "hilbert", "verify", "bridge", "hermitian", "min-sos", "corpus")
+
+
+def run_main(capsys, argv):
+    """main()'s exit code, stdout and stderr, usage exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_build_parser_reads_the_terminal_size_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return os.terminal_size((int(os.environ["COLUMNS"]), 24))
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    monkeypatch.setenv("COLUMNS", "80")
+    build_parser()
+    assert len(calls) == 1
+    # The width is read when the parser is built, not when cli is imported.
+    helps = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = run_main(capsys, ["corpus", "--help"])
+        assert code == 0
+        helps.append(out)
+    assert len(helps[0].splitlines()) > len(helps[1].splitlines())
+    assert helps[0].split() == helps[1].split()
+
+
+def unformatted_parser() -> argparse.ArgumentParser:
+    """build_parser()'s tree with every parser back on argparse's own HelpFormatter."""
+    parser = build_parser()
+    parser.formatter_class = argparse.HelpFormatter
+    for action in parser._subparsers._group_actions:
+        for subparser in action.choices.values():
+            subparser.formatter_class = argparse.HelpFormatter
+    return parser
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"]]
+    + [[name, "--help"] for name in SUBCOMMANDS]
+    + [[], ["--format", "xml", "macrep", "1", "1"], ["macrep", "x", "3"], ["corpus", "--lex-probe", "1"]],
+    ids=lambda argv: "_".join(argv) or "no-args",
+)
+def test_help_and_usage_match_argparse_defaults(capsys, monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    assert set(SUBCOMMANDS) == set(build_parser()._subparsers._group_actions[0].choices)
+    ours = run_main(capsys, argv)
+    monkeypatch.setattr(cli, "build_parser", unformatted_parser)
+    assert run_main(capsys, argv) == ours
+    assert ours[0] in (0, 2) and (ours[1] or ours[2])
