@@ -648,12 +648,21 @@ def sos_rank_interval(p: int, q: int, n: int, l: int) -> tuple[int, int]:
     return low - q * c, p * c
 
 
+def _has_negative_diagonal(form: HermitianBiform) -> bool:
+    """True when a diagonal entry of the matrix is negative.  That entry
+    is e_A^H M e_A, the weight of |z^A|^2 in the form, so the matrix is
+    not positive semidefinite and the form is no sum of squared norms."""
+    return any(row[k] < 0 for k, row in enumerate(form.re))
+
+
 def is_sum_of_squares(form: HermitianBiform) -> bool:
     """True iff the form is a sum of squared norms of holomorphic
-    polynomials, i.e. its matrix is positive semidefinite (q == 0): no
-    step of the congruence kernel is negative, so the first negative step
-    answers without counting the rest of the signature."""
-    return all(delta > 0 for delta, *_ in _congruence_steps(form.re, form.im))
+    polynomials, i.e. its matrix is positive semidefinite (q == 0).  A
+    negative diagonal entry answers False before any congruence step
+    (:func:`_has_negative_diagonal`); otherwise no step of the congruence
+    kernel may be negative, and the first negative step answers without
+    counting the rest of the signature."""
+    return not _has_negative_diagonal(form) and all(delta > 0 for delta, *_ in _congruence_steps(form.re, form.im))
 
 
 def find_min_sos_exponent(form: HermitianBiform, l_max: int) -> Optional[int]:
@@ -696,9 +705,19 @@ def hermitian_report(form: HermitianBiform, norm: SignedNorm | tuple[int, int], 
     rank.  V does not depend on (s, t), so every signed product, the
     Euclidean power included, then has the inertia of its D: by
     Sylvester's law, (p*s + q*t, p*t + q*s), which is (p*n, q*n) at
-    (n, 0).  Elsewhere the power's signature comes from the congruence
-    kernel, and at (n, 0) and l = 1, where the power is the product, its
-    p + q is checked against R.
+    (n, 0).  Elsewhere the power is built, and its diagonal decides first.
+    A negative diagonal entry is the weight of a square |z^A|^2, so the
+    power is no sum of squared norms, and its rank comes from
+    ``biform_rank`` under the bound r*C(n-1+l, l), with no signature
+    counted: the report needs only that rank and that verdict.  The bound
+    holds because ||z||^(2l) is the sum of C(l, alpha) |z^alpha|^2 over the
+    C(n-1+l, l) monomials alpha of degree l, so the power is V D V^H with
+    the r*C(n-1+l, l) columns z^alpha f_k in V, the f_k being the columns
+    of W.  A congruence count of such a power would be checked against
+    nothing, so the certified rank loses no cross-check.  A power with no
+    negative diagonal entry, and the power at (n, 0) and l = 1, which is
+    the product, get their signature from the congruence kernel; at (n, 0)
+    and l = 1 the power's p + q is checked against R.
     """
     n, (s, t) = form.n_vars, norm
     _require_report_inputs(n, form.half_degree, norm, l)
@@ -713,24 +732,29 @@ def hermitian_report(form: HermitianBiform, norm: SignedNorm | tuple[int, int], 
     low, high = product_rank_interval(r, n)
     product = multiply_signed_norm(form, (s, t))
     rank_product = biform_rank(product, high)
+    # at (s, t) = (n, 0) the power extends the product, and at l = 1 it is the product
+    power_is_product = euclidean and l == 1
     if l == 1 and rank_product == high:
-        power_sig = SignaturePair(sig.p * n, sig.q * n)
+        power_rank, power_sos = r * n, sig.q == 0
     else:
         power = multiply_norm_power(product, l - 1) if euclidean else multiply_norm_power(form, l)
-        power_sig = biform_signature(power)
-        # at (s, t) = (n, 0) the power extends the product, and at l = 1 it is the product
-        if euclidean and l == 1 and rank_product != power_sig.rank:
-            raise ArithmeticError(f"rank {rank_product} of the product differs from p + q = {power_sig.rank}")
+        if _has_negative_diagonal(power) and not power_is_product:
+            power_rank, power_sos = biform_rank(power, r * math.comb(n - 1 + l, l)), False
+        else:
+            power_sig = biform_signature(power)
+            if power_is_product and rank_product != power_sig.rank:
+                raise ArithmeticError(f"rank {rank_product} of the product differs from p + q = {power_sig.rank}")
+            power_rank, power_sos = power_sig.rank, power_sig.q == 0
     outputs = {
         "signature": {"p": sig.p, "q": sig.q},
         "rank": r,
         "product_rank": rank_product,
         "product_rank_interval": [low, high],
-        "norm_power_rank": power_sig.rank,
-        "norm_power_is_sum_of_squares": power_sig.q == 0,
+        "norm_power_rank": power_rank,
+        "norm_power_is_sum_of_squares": power_sos,
     }
     verdicts["product_rank_bounds"] = low <= rank_product <= high
-    if power_sig.q == 0:
+    if power_sos:
         p_bound = sos_min_positive_part(r, n, l)
         q_bound = sos_max_negative_part(sig.p, n, l)
         r_low, r_high = sos_rank_interval(sig.p, sig.q, n, l)
@@ -740,7 +764,7 @@ def hermitian_report(form: HermitianBiform, norm: SignedNorm | tuple[int, int], 
         outputs["sos_rank_interval"] = [r_low, r_high]
         verdicts["positive_part_bound"] = sig.p >= p_bound
         verdicts["negative_part_bound"] = sig.q <= q_bound
-        verdicts["sos_rank_interval"] = r_low <= power_sig.rank <= r_high
+        verdicts["sos_rank_interval"] = r_low <= power_rank <= r_high
     return outputs, verdicts
 
 

@@ -99,6 +99,30 @@ def test_wrong_product_rank_exits_3_where_the_power_is_the_product(capsys, monke
         assert captured.err == "internal error: rank 1 of the product differs from p + q = 2\n"
 
 
+@pytest.fixture
+def negative_diagonal_form_file(tmp_path):
+    """|4i z1 + 3 z2|^2 - |3 z1 + 4i z2|^2: rank 2, signature (1, 1), a
+    negative diagonal entry at z2, and a product with |z|^2 of rank 2 in
+    3 rows whose diagonal is negative at z2^2."""
+    square = lambda a, b: HomogPoly(2, 1, {(1, 0): GaussianRational(*a), (0, 1): GaussianRational(*b)})
+    path = tmp_path / "negative-diagonal.json"
+    path.write_text(format_biform(biform_from_squares(2, 1, [square((0, 4), (3, 0))], [square((3, 0), (0, 4))])))
+    return str(path)
+
+
+def test_wrong_product_rank_exits_3_where_the_refuted_power_is_the_product(capsys, monkeypatch, negative_diagonal_form_file):
+    """A negative diagonal entry refutes the power with no congruence
+    pass, but not at (n, 0) and l = 1, where the power is the product and
+    its p + q still checks the product's rank."""
+    true_rank = poly._gaussian_rank
+    monkeypatch.setattr(poly, "_gaussian_rank", lambda rows: true_rank(rows) - (len(rows) == 3))
+    for argv in ([], ["--s", "2", "--t", "0", "--l", "1"]):
+        assert main(["hermitian", negative_diagonal_form_file, *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: rank 1 of the product differs from p + q = 2\n"
+
+
 def test_modular_checked_needs_one_agreeing_prime(capsys, monkeypatch, z1_file):
     true_rank_mod_prime = poly.rank_mod_prime
     seen = []

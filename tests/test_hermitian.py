@@ -1144,3 +1144,102 @@ def test_every_producer_leaves_least_terms(family, form):
         assert quotients[0] == base
         made += products + [q for q in quotients if q is not None]
     assert all(_in_least_terms(f) for f in made)
+
+
+def rotated_split_form() -> HermitianBiform:
+    """|4i z1 + 3 z2|^2 - |3 z1 + 4i z2|^2, that is 25(|z1|^2 - |z2|^2)
+    under a unitary change of variables: non-real, of signature (1, 1),
+    with the negative diagonal entry -7 at z2."""
+    plus = HomogPoly(2, 1, {(1, 0): GaussianRational(0, 4), (0, 1): GaussianRational(3)})
+    minus = HomogPoly(2, 1, {(1, 0): GaussianRational(3), (0, 1): GaussianRational(0, 4)})
+    return biform_from_squares(2, 1, [plus], [minus])
+
+
+@given(st.one_of(hermitian_forms(), gaussian_square_families(), independent_square_families().map(lambda f: f[1])))
+@example(rotated_split_form())
+@example(biform_from_terms(2, 1, [((1, 0), (1, 0), 1)]))
+@settings(max_examples=40, deadline=None)
+def test_the_norm_power_outputs_match_a_full_signature(form):
+    """At every (s, t) and l = 1, 2, 3, on real and Gaussian forms, the
+    power's rank and sum-of-squares verdict are those of a congruence pass
+    over the built power, whichever of the read-off, the refutation by a
+    negative diagonal entry and the full pass gives them."""
+    if form.is_zero():
+        return
+    n = form.n_vars
+    for l in (1, 2, 3):
+        power = biform_signature(multiply_norm_power(form, l))
+        for s in range(n + 1):
+            outputs, _ = hermitian_report(form, (s, n - s), l)
+            assert (outputs["norm_power_rank"], outputs["norm_power_is_sum_of_squares"]) == (power.rank, power.q == 0)
+
+
+def test_a_negative_diagonal_entry_refutes_the_power_with_no_signature(monkeypatch):
+    """The powers of the rotated split form keep a negative diagonal entry,
+    so no congruence pass runs on them, save at (2, 0) and l = 1, where the
+    power is the product and its p + q cross-checks the product's rank."""
+    form = rotated_split_form()
+    dims = recorded_signatures(monkeypatch)
+    for norm, l, product_rank, power_rank, signatures in (
+        ((1, 1), 1, 3, 2, [2]),
+        ((2, 0), 2, 2, 4, [2]),
+        ((0, 2), 3, 2, 4, [2]),
+        ((2, 0), 1, 2, 2, [2, 3]),
+    ):
+        dims.clear()
+        outputs, verdicts = hermitian_report(form, norm, l)
+        assert (outputs["product_rank"], outputs["norm_power_rank"]) == (product_rank, power_rank)
+        assert outputs["norm_power_is_sum_of_squares"] is False
+        assert "sos_rank_interval" not in outputs and verdicts["sos_rank_interval"] is None
+        assert dims == signatures
+
+
+def test_a_refuted_power_is_ranked_under_its_own_bound(monkeypatch):
+    """-|z1 - i z2|^2 at l = 2: the power -|z1^2 g|^2 - 2|z1 z2 g|^2 -
+    |z2^2 g|^2, g = z1 - i z2, has rank 3 of 4 rows, under the bound
+    r*C(n-1+l, l) = 3 but over the product's r*n = 2.  A modular rank one
+    low falls short of 3, so Bareiss ranks the power; under the bound r*n
+    the certificate would have taken that 2 for the rank."""
+    form = biform_from_squares(2, 1, [], [HomogPoly(2, 1, {(1, 0): GaussianRational(1), (0, 1): -i})])
+    exact_calls = recorded_exact_ranks(monkeypatch)
+    dims = recorded_signatures(monkeypatch)
+    outputs, _ = hermitian_report(form, (2, 0), 2)
+    assert (outputs["rank"], outputs["product_rank"], outputs["norm_power_rank"]) == (1, 2, 3)
+    assert (exact_calls, dims) == ([2], [2])
+    true_rank_mod_prime = hermitian.rank_mod_prime
+    monkeypatch.setattr(hermitian, "rank_mod_prime", lambda rows, p: true_rank_mod_prime(rows, p) - 1)
+    exact_calls.clear()
+    outputs, _ = hermitian_report(form, (2, 0), 2)
+    assert (outputs["rank"], outputs["product_rank"], outputs["norm_power_rank"]) == (1, 2, 3)
+    assert outputs["norm_power_is_sum_of_squares"] is False
+    assert exact_calls == [2, 3, 4]
+
+
+def test_a_zero_diagonal_entry_does_not_refute_the_power(monkeypatch):
+    """|z1|^2 ||z||^4 = |z1^3|^2 + 2|z1^2 z2|^2 + |z1 z2^2|^2 has the zero
+    diagonal entry at z2^3 and is a sum of squares: only a negative entry
+    refutes, and the congruence pass decides the rest."""
+    form = biform_from_terms(2, 1, [((1, 0), (1, 0), 1)])
+    power = multiply_norm_power(form, 2)
+    assert [row[k] for k, row in enumerate(power.re)] == [1, 2, 1, 0]
+    assert is_sum_of_squares(power)
+    dims = recorded_signatures(monkeypatch)
+    outputs, verdicts = hermitian_report(form, (2, 0), 2)
+    assert (outputs["norm_power_rank"], outputs["norm_power_is_sum_of_squares"]) == (3, True)
+    assert verdicts["sos_rank_interval"] is True
+    assert dims == [2, 4]
+
+
+def test_is_sum_of_squares_refutes_a_negative_diagonal_with_no_congruence_step(monkeypatch):
+    """Each power of |z1^2|^2 - (9/5)|z1 z2|^2 + |z2^2|^2 + |z3^2|^2 below
+    l = 18 has a negative diagonal entry, so the search runs one congruence
+    pass, on the power that is a sum of squares."""
+    weights = {(2, 0, 0): 1, (1, 1, 0): Fraction(-9, 5), (0, 2, 0): 1, (0, 0, 2): 1}
+    form = biform_from_terms(3, 2, [(m, m, w) for m, w in weights.items()])
+    passes = []
+    true_steps = hermitian._congruence_steps
+    monkeypatch.setattr(hermitian, "_congruence_steps", lambda re, im: passes.append(len(re)) or true_steps(re, im))
+    assert not is_sum_of_squares(form)
+    assert passes == []
+    assert find_min_sos_exponent(form, 20) == 18
+    assert passes == [math.comb(22, 2)]
