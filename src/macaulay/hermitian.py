@@ -6,10 +6,10 @@ degree-d monomial basis: ``matrix[i][j]`` is the coefficient of
 ``z^basis[i] * conj(z)^basis[j]``.  The matrix is held once, as integers:
 (re + i*im) / den with int matrices ``re`` and ``im`` and the least
 positive common denominator ``den``.  The rank comes from row
-elimination on those integer parts: ``exact_rank`` for a real matrix,
-and for a non-real one a rank modulo a prime where i has a square root,
-which proves a full rank, else ``exact_rank``'s fraction-free elimination
-over the Gaussian integers.  The signature and the square
+elimination on those integer parts: a rank modulo a prime where i has a
+square root, which proves a full rank, else ``exact_rank``'s elimination
+over the integers for a real matrix, or its fraction-free elimination
+over the Gaussian integers for a non-real one.  The signature and the square
 decomposition come from one fraction-free congruence kernel over the
 Gaussian integers on ``re`` and ``im``; the rank is kept on the other
 kernel so that rank == p + q checks one against the other, as
@@ -354,17 +354,16 @@ def biform_from_squares(
 
 def biform_rank(form: HermitianBiform, _bound: Optional[int] = None, _count: Optional[int] = None) -> int:
     """Exact rank of the coefficient matrix, from its integer parts (den
-    times the matrix has the same rank).  A real form's rows of ints go to
-    ``exact_rank``, row elimination over the integers.  A non-real form's
-    rows of ``(re, im)`` int pairs are first ranked modulo
+    times the matrix has the same rank): rows of ints for a real form, of
+    ``(re, im)`` int pairs otherwise.  The rows are first ranked modulo
     ``RANK_PRIMES[0]`` by ``rank_mod_prime``.  ``_bound`` is an upper
     bound on the rank known from elsewhere (``hermitian_report`` passes r*n
     for a product by a signed norm), the row count when None: since
     rank_p <= rank <= min(rows, bound), a modular rank that reaches
     min(rows, bound) proves the rank.  Otherwise the rank comes from
-    ``exact_rank``'s fraction-free elimination over the Gaussian integers.
-    Neither path shares code with the congruence kernel of
-    ``biform_signature``, so rank == p + q checks the two.
+    ``exact_rank``'s fraction-free elimination, over the integers or over
+    the Gaussian integers.  Neither path shares code with the congruence
+    kernel of ``biform_signature``, so rank == p + q checks the two.
 
     ``_count`` is the caller's own count of the rank (``hermitian_report``
     passes the form's p + q).  When it is below min(rows, bound), the
@@ -374,8 +373,9 @@ def biform_rank(form: HermitianBiform, _bound: Optional[int] = None, _count: Opt
     rank == p + q fails on the exact rank as it would on the certified one.
     So ``_count`` only picks the path and is never the answer."""
     if form.im is None:
-        return exact_rank([{j: a for j, a in enumerate(ra) if a} for ra in form.re])
-    rows = [{j: (a, b) for j, (a, b) in enumerate(zip(ra, ia)) if a or b} for ra, ia in zip(form.re, form.im)]
+        rows = [{j: a for j, a in enumerate(ra) if a} for ra in form.re]
+    else:
+        rows = [{j: (a, b) for j, (a, b) in enumerate(zip(ra, ia)) if a or b} for ra, ia in zip(form.re, form.im)]
     top = len(rows) if _bound is None else min(len(rows), _bound)
     if (_count is None or _count >= top) and rank_mod_prime(rows, RANK_PRIMES[0]) == top:
         return top

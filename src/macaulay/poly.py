@@ -512,7 +512,12 @@ def rank_mod_prime(rows: Iterable[dict[int, object]], p: int) -> int:
     are) and raise ValueError at any other prime.  Both maps are ring
     homomorphisms onto GF(p), so each minor of the images is the image of
     the same minor: the modular rank never exceeds the rank over Q or
-    Q(i), and equals it unless p divides every maximal nonzero minor.
+    Q(i), and equals it unless p divides every maximal nonzero minor.  So
+    a smaller prime can cost a caller only a fallback, never a wrong rank;
+    below 2**30 (the primes of ``RANK_PRIMES``) every residue, iota and
+    pivot inverse is one CPython digit, so a residue product has at most
+    two digits and each ``% p`` divides by a single digit, CPython's fast
+    path.
     """
     rows = [row for row in rows if row]
     if rows and type(next(iter(rows[0].values()))) is tuple:
@@ -551,9 +556,12 @@ def rank_mod_prime(rows: Iterable[dict[int, object]], p: int) -> int:
 
 
 # The primes of the modular-checked mode and of ``biform_rank``'s certificate:
-# distinct, >= 2**31 and = 1 mod 4, so that i has a square root modulo each,
-# and fixed so that every run checks against the same eliminations.
-RANK_PRIMES = (2291050477, 4115409913, 3431386421)
+# the three largest primes = 1 mod 4 below 2**30, so that i has a square root
+# modulo each and every residue is one 30-bit CPython digit, and fixed so that
+# every run checks against the same eliminations.  A prime that divides every
+# maximal nonzero minor only sends a rank to ``exact_rank``; it cannot give a
+# wrong one.
+RANK_PRIMES = (1073741789, 1073741741, 1073741717)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def _dense_generator(rng, n: int, degree: int) -> poly.HomogPoly:
 
 def _biforms(rng) -> dict[str, hermitian.HermitianBiform]:
     i, one = GaussianRational(0, 1), GaussianRational(1)
-    p = 2291050477  # RANK_PRIMES[0], written out so that the inputs stay fixed
+    p = 1073741789  # RANK_PRIMES[0], written out so that the inputs stay fixed
     forms = {
         # determinant p: full rank over Q(i), rank 1 modulo p
         "unlucky": hermitian.biform_from_terms(2, 1, [
@@ -183,6 +183,15 @@ def run_case(argv: list[str]) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
+
+
+def test_the_unlucky_form_is_unlucky_at_the_first_rank_prime():
+    """The written-out p is ``RANK_PRIMES[0]``, so the form's modular rank
+    falls short of its rank 2 and its report takes the exact fallback."""
+    form = _biforms(SplitMix64(SEED))["unlucky"]
+    rows = [{j: (a, b) for j, (a, b) in enumerate(zip(ra, ia)) if a or b} for ra, ia in zip(form.re, form.im)]
+    assert poly.rank_mod_prime(rows, poly.RANK_PRIMES[0]) == 1
+    assert poly.exact_rank(rows) == 2
 
 
 def test_every_report_matches_its_golden_hash(tmp_path, monkeypatch):

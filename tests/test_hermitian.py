@@ -262,6 +262,26 @@ def test_an_unlucky_prime_falls_back_to_bareiss(monkeypatch, tmp_path):
     assert (outputs["rank"], outputs["signature"]) == (2, {"p": 2, "q": 0})
 
 
+def test_a_real_form_takes_the_same_certificate_and_fallback(monkeypatch, tmp_path):
+    """(p+1)|z1|^2 + z1 conj(z2) + z2 conj(z1) + |z2|^2 with p =
+    RANK_PRIMES[0] has determinant p: its int rows have rank 1 modulo p, so
+    the exact elimination over the integers answers rank 2."""
+    p = RANK_PRIMES[0]
+    form = biform_from_terms(2, 1, [((1, 0), (1, 0), p + 1), ((1, 0), (0, 1), 1), ((0, 1), (1, 0), 1), ((0, 1), (0, 1), 1)])
+    assert (form.den, form.im, form.re) == (1, None, ((p + 1, 1), (1, 1)))
+    assert rank_mod_prime([{0: p + 1, 1: 1}, {0: 1, 1: 1}], p) == 1
+    exact_calls = recorded_exact_ranks(monkeypatch)
+    assert biform_rank(form) == 2
+    assert exact_calls == [2]
+    path = tmp_path / "unlucky-real.json"
+    path.write_text(format_biform(form))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--format", "structured", "hermitian", str(path)]) == 0
+    outputs = json.loads(out.getvalue())["outputs"]
+    assert (outputs["rank"], outputs["signature"]) == (2, {"p": 2, "q": 0})
+
+
 def test_a_count_below_the_row_count_skips_the_modular_rank(monkeypatch):
     """|z1 - i z2|^2 has p + q = 1 of 2 rows: given that count,
     ``biform_rank`` goes straight to ``exact_rank``, and so does the
@@ -1213,6 +1233,24 @@ def test_a_refuted_power_is_ranked_under_its_own_bound(monkeypatch):
     assert (outputs["rank"], outputs["product_rank"], outputs["norm_power_rank"]) == (1, 2, 3)
     assert outputs["norm_power_is_sum_of_squares"] is False
     assert exact_calls == [2, 3, 4]
+
+
+def test_a_real_refuted_power_is_certified_modulo_a_prime(monkeypatch):
+    """2|z1|^2 + z1 conj(z2) + z2 conj(z1) - |z2|^2 is real and of full rank
+    2, its product has full rank 3, and its power at l = 2 has the
+    diagonal (2, 3, 0, -1) and full rank 4 under the bound
+    r*C(n-1+l, l) = 6: the modular certificate proves all three ranks, so
+    no real matrix reaches ``exact_rank`` and only the form's own
+    signature is counted."""
+    form = biform_from_terms(2, 1, [((1, 0), (1, 0), 2), ((1, 0), (0, 1), 1), ((0, 1), (1, 0), 1), ((0, 1), (0, 1), -1)])
+    assert form.im is None
+    assert [row[k] for k, row in enumerate(multiply_norm_power(form, 2).re)] == [2, 3, 0, -1]
+    exact_calls = recorded_exact_ranks(monkeypatch)
+    dims = recorded_signatures(monkeypatch)
+    outputs, _ = hermitian_report(form, (2, 0), 2)
+    assert (outputs["rank"], outputs["product_rank"], outputs["norm_power_rank"]) == (2, 3, 4)
+    assert outputs["norm_power_is_sum_of_squares"] is False
+    assert (exact_calls, dims) == ([], [2])
 
 
 def test_a_zero_diagonal_entry_does_not_refute_the_power(monkeypatch):

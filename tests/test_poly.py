@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macaulay import binom
+from macaulay import binom, poly
 from macaulay.binom import shift_apply
 from macaulay.cli import main
 from macaulay.poly import (
@@ -268,8 +268,11 @@ def test_exact_rank_matches_modular_on_random_monomial_ideals():
     rng = SplitMix64(987654321)
     assert len(set(RANK_PRIMES)) == 3
     for p in RANK_PRIMES:
-        assert p >= 2**31
+        assert p < 2**30 and p % 4 == 1
         assert all(p % q for q in range(2, math.isqrt(p) + 1))
+        assert pow(poly._sqrt_minus_one(p), 2, p) == p - 1
+    # RANK_PRIMES[0] is the largest prime = 1 mod 4 below 2**30
+    assert [q for q in range(RANK_PRIMES[0] + 1, 2**30) if q % 4 == 1 and all(q % k for k in range(2, math.isqrt(q) + 1))] == []
     for _ in range(200):
         n = rng.randint(2, 4)
         gens = []

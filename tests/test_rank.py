@@ -258,11 +258,11 @@ def is_prime(n: int) -> bool:
 
 def test_rank_primes_have_a_square_root_of_minus_one():
     for p in RANK_PRIMES:
-        assert p % 4 == 1 and is_prime(p)
+        assert p < 2**30 and p % 4 == 1 and is_prime(p)
         assert pow(poly._sqrt_minus_one(p), 2, p) == p - 1
-    # the first prime = 1 mod 4 after 2291050459, which is 3 mod 4
-    assert RANK_PRIMES[0] == 2291050477
-    assert [q for q in range(2291050459, RANK_PRIMES[0]) if q % 4 == 1 and is_prime(q)] == []
+    # the three largest primes = 1 mod 4 below 2**30, largest first: none lies between RANK_PRIMES[0] and 2**30
+    assert RANK_PRIMES[0] == 1073741789
+    assert [q for q in range(2**30 - 1, RANK_PRIMES[-1] - 1, -1) if q % 4 == 1 and is_prime(q)] == list(RANK_PRIMES)
 
 
 def test_gaussian_rows_need_a_prime_one_mod_four():

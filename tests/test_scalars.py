@@ -185,14 +185,17 @@ def test_rank_routines_see_only_integer_rows(monkeypatch, tmp_path, capsys):
     modes, ``verify_ideal_containment``, ``hermitian`` on a real, a
     full-rank non-real and two rank-deficient non-real biforms, and
     ``min-sos``.  Calls are counted per routine: ``biform_rank`` ranks a
-    non-real matrix modulo a prime first, and ``exact_rank`` only when that
-    rank falls short of the row count, or for a product by the norm, of
-    r*n when that is smaller.  A form whose p + q already falls short of
-    its row count skips the modular rank and goes to ``exact_rank``, so
-    the two rank-deficient forms make one ``rank_mod_prime`` call each,
-    on their products.  The product of |z1 - i z2|^2 (rank 2 = r*n) is
-    certified, and that of the Koszul form |z1 g|^2 + |z2 g|^2,
-    g = z1 + i z2, whose rank 3 falls short of r*n = 4, is not."""
+    real or non-real matrix modulo a prime first, and ``exact_rank`` only
+    when that rank falls short of the row count, or for a product by the
+    norm, of r*n when that is smaller.  A form whose p + q already falls
+    short of its row count skips the modular rank and goes to
+    ``exact_rank``, so the two rank-deficient forms make one
+    ``rank_mod_prime`` call each, on their products.  The real form
+    |z1|^2 - |z2|^2 is certified, and its product
+    |z1^2|^2 - |z2^2|^2 (rank 2 of 3 rows) is not.  The product of
+    |z1 - i z2|^2 (rank 2 = r*n) is certified, and that of the Koszul form
+    |z1 g|^2 + |z2 g|^2, g = z1 + i z2, whose rank 3 falls short of
+    r*n = 4, is not."""
     calls = []
 
     def checked(kernel):
@@ -253,7 +256,7 @@ def test_rank_routines_see_only_integer_rows(monkeypatch, tmp_path, capsys):
     koszul = hermitian.biform_from_squares(2, 2, [monomial_poly((1, 0)) * g, monomial_poly((0, 1)) * g])
     # (form, product) ranks: (2, 3) for the full-rank non-real form, (1, 2) for |z1 - i z2|^2, (2, 3) for koszul
     for k, (form, expected) in enumerate((
-        (real, {("exact_rank", "int"): 2}),
+        (real, {("rank_mod_prime", "int"): 2, ("exact_rank", "int"): 1}),
         (gaussian, {("rank_mod_prime", "pair"): 2}),
         (rank_one, {("rank_mod_prime", "pair"): 1, ("exact_rank", "pair"): 1}),
         (koszul, {("rank_mod_prime", "pair"): 1, ("exact_rank", "pair"): 2}),
